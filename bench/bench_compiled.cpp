@@ -36,11 +36,24 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace llstar;
 
 namespace {
+
+std::string compilerName() {
+#if defined(__clang__)
+  return "clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "gcc " + std::to_string(__GNUC__) + "." +
+         std::to_string(__GNUC_MINOR__) + "." +
+         std::to_string(__GNUC_PATCHLEVEL__);
+#else
+  return "unknown";
+#endif
+}
 
 double now() {
   return std::chrono::duration<double>(
@@ -316,7 +329,13 @@ int main(int Argc, char **Argv) {
   }
 
   if (!JsonPath.empty()) {
-    std::string Out = "{\n  \"units\": " + std::to_string(Units) +
+    // Absolute throughput differs a lot between hosts; the stamp says
+    // which host (and build) these numbers came from.
+    std::string Out = "{\n  \"host\": {\"vcpus\": " +
+                      std::to_string(std::thread::hardware_concurrency()) +
+                      ", \"compiler\": \"" + compilerName() +
+                      "\", \"build\": \"" + LLSTAR_BUILD_TYPE + "\"},\n" +
+                      "  \"units\": " + std::to_string(Units) +
                       ",\n  \"repeat\": " + std::to_string(Repeat) +
                       ",\n  \"grammars\": [\n";
     char Buf[512];

@@ -46,6 +46,7 @@ struct PreparedGrammar {
 
   /// Lexes input; aborts on lex errors.
   TokenStream tokenize(const std::string &Input);
+  TokenStream tokenize(std::string &&) = delete;
 
   /// Runs one full parse collecting stats into \p P. Returns success.
   bool runParse(TokenStream &Stream, LLStarParser &P);

@@ -39,9 +39,15 @@ struct CompiledGrammar {
   std::vector<LexerAction> LexerActions; // per DFA accept tag
   std::vector<TokenType> LexerTypes;     // per DFA accept tag
 
-  /// Tokenizes with the precompiled tables.
+  /// Tokenizes with the precompiled tables; the tokens view \p Input.
   std::vector<Token> tokenize(std::string_view Input,
                               DiagnosticEngine &Diags) const;
+  std::vector<Token> tokenize(const char *Input,
+                              DiagnosticEngine &Diags) const {
+    return tokenize(std::string_view(Input), Diags);
+  }
+  std::vector<Token> tokenize(std::string &&, DiagnosticEngine &) const =
+      delete;
 };
 
 /// Serializes \p AG plus its compiled lexer \p L into the v1 text format.

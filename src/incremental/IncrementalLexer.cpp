@@ -93,6 +93,23 @@ void IncrementalLexer::recomputeMaxLook(size_t From) {
   }
 }
 
+Token IncrementalLexer::tokenOf(std::string_view Text, const Lexeme &L) const {
+  return Token::lexed(Text, Lex.types()[size_t(L.Tag)], L.Off, L.Len,
+                      SourceLocation(L.Line, L.Col));
+}
+
+void IncrementalLexer::rebase(std::string_view Text, int64_t End) {
+  if (Text.data() == Base)
+    return;
+  Base = Text.data();
+  End = std::min(End, int64_t(Toks.size()));
+  for (int64_t I = 0; I < End; ++I) {
+    Token &T = Toks[size_t(I)];
+    if (!T.isEof())
+      T.Text = Text.substr(size_t(T.Offset), T.Text.size());
+  }
+}
+
 void IncrementalLexer::lexAll(std::string_view Text) {
   Lexemes.clear();
   Toks.clear();
@@ -108,21 +125,16 @@ void IncrementalLexer::lexAll(std::string_view Text) {
   recomputeMaxLook(0);
 
   const std::vector<LexerAction> &Actions = Lex.actions();
-  const std::vector<TokenType> &Types = Lex.types();
   for (const Lexeme &L : Lexemes) {
     if (L.Tag < 0 || Actions[size_t(L.Tag)] != LexerAction::Emit)
       continue;
-    Token T(Types[size_t(L.Tag)],
-            std::string(Text.substr(size_t(L.Off), size_t(L.Len))),
-            SourceLocation(L.Line, L.Col));
-    T.Offset = L.Off;
-    Toks.push_back(std::move(T));
+    Toks.push_back(tokenOf(Text, L));
+    Toks.back().Index = int64_t(Toks.size()) - 1;
   }
-  Token Eof(TokenEof, "<EOF>", SourceLocation(EndLine, EndCol));
-  Eof.Offset = int64_t(Text.size());
-  Toks.push_back(std::move(Eof));
-  for (size_t I = 0; I < Toks.size(); ++I)
-    Toks[I].Index = int64_t(I);
+  Toks.push_back(
+      Token::eof(int64_t(Text.size()), SourceLocation(EndLine, EndCol)));
+  Toks.back().Index = int64_t(Toks.size()) - 1;
+  Base = Text.data();
 }
 
 IncrementalLexer::Damage IncrementalLexer::relex(std::string_view NewText,
@@ -199,7 +211,6 @@ IncrementalLexer::Damage IncrementalLexer::relex(std::string_view NewText,
   D.Relexed = int64_t(Fresh.size());
 
   const std::vector<LexerAction> &Actions = Lex.actions();
-  const std::vector<TokenType> &Types = Lex.types();
 
   // In-place fast path: an edit that kept every downstream byte, line,
   // column, lexeme, and token where it was (the overwhelmingly common
@@ -219,14 +230,11 @@ IncrementalLexer::Damage IncrementalLexer::relex(std::string_view NewText,
       for (const Lexeme &L : Fresh) {
         if (L.Tag < 0 || Actions[size_t(L.Tag)] != LexerAction::Emit)
           continue;
-        Token T(Types[size_t(L.Tag)],
-                std::string(NewText.substr(size_t(L.Off), size_t(L.Len))),
-                SourceLocation(L.Line, L.Col));
-        T.Offset = L.Off;
-        T.Index = TI;
-        Toks[size_t(TI)] = std::move(T);
+        Toks[size_t(TI)] = tokenOf(NewText, L);
+        Toks[size_t(TI)].Index = TI;
         ++TI;
       }
+      rebase(NewText);
       D.NewInvalidHi = D.OldInvalidHi;
       D.TokenDelta = 0;
       D.SuffixIdentical = true;
@@ -264,30 +272,26 @@ IncrementalLexer::Damage IncrementalLexer::relex(std::string_view NewText,
   // shifted suffix (which includes EOF when we resynchronized).
   std::vector<Token> NewToks;
   NewToks.reserve(Toks.size() + size_t(std::max<int64_t>(Delta, 0)) + 1);
-  for (int64_t I = 0; I < D.InvalidLo; ++I)
-    NewToks.push_back(std::move(Toks[size_t(I)]));
+  NewToks.insert(NewToks.end(), Toks.begin(), Toks.begin() + D.InvalidLo);
   for (const Lexeme &L : Fresh) {
     if (L.Tag < 0 || Actions[size_t(L.Tag)] != LexerAction::Emit)
       continue;
-    Token T(Types[size_t(L.Tag)],
-            std::string(NewText.substr(size_t(L.Off), size_t(L.Len))),
-            SourceLocation(L.Line, L.Col));
-    T.Offset = L.Off;
-    NewToks.push_back(std::move(T));
+    NewToks.push_back(tokenOf(NewText, L));
   }
   D.NewInvalidHi = int64_t(NewToks.size());
   for (int64_t I = D.OldInvalidHi; I < OldTokCount; ++I) {
-    Token T = std::move(Toks[size_t(I)]);
+    Token T = Toks[size_t(I)];
     T.Offset += Delta;
+    if (!T.isEof())
+      T.Text = NewText.substr(size_t(T.Offset), T.Text.size());
     if (T.Loc.Line == OldResyncLine)
       T.Loc.Column = uint32_t(int64_t(T.Loc.Column) + ColDelta);
     T.Loc.Line = uint32_t(int64_t(T.Loc.Line) + LineDelta);
-    NewToks.push_back(std::move(T));
+    NewToks.push_back(T);
   }
   if (!Resynced) {
-    Token Eof(TokenEof, "<EOF>", SourceLocation(EndLine, EndCol));
-    Eof.Offset = int64_t(NewText.size());
-    NewToks.push_back(std::move(Eof));
+    NewToks.push_back(Token::eof(int64_t(NewText.size()),
+                                 SourceLocation(EndLine, EndCol)));
     // No old token survived the damage, so the fresh EOF belongs to the
     // damaged window and both retained-suffix ranges are empty.
     D.NewInvalidHi = int64_t(NewToks.size());
@@ -295,6 +299,9 @@ IncrementalLexer::Damage IncrementalLexer::relex(std::string_view NewText,
   Toks = std::move(NewToks);
   for (int64_t I = D.InvalidLo; I < int64_t(Toks.size()); ++I)
     Toks[size_t(I)].Index = I;
+  // The suffix views already point into NewText; the prefix ones still
+  // point at the old buffer if the edit moved it.
+  rebase(NewText, D.InvalidLo);
 
   D.TokenDelta = int64_t(Toks.size()) - OldTokCount;
   D.SuffixIdentical = Resynced && Delta == 0 && LineDelta == 0 &&

@@ -90,12 +90,15 @@ public:
     bool SuffixIdentical = false;
   };
 
-  /// Tokenizes \p Text from scratch, replacing all state.
+  /// Tokenizes \p Text from scratch, replacing all state. The tokens are
+  /// views into \p Text, which the caller keeps alive.
   void lexAll(std::string_view Text);
 
   /// Applies an edit: \p NewText is the already-spliced text, and
   /// (\p Offset, \p OldLen, \p NewLen) describe the replacement. Only the
-  /// damaged window is re-lexed; the token vector is spliced in place.
+  /// damaged window is re-lexed; the token vector is spliced in place, and
+  /// every token views \p NewText afterwards — re-pointed wholesale only
+  /// when the splice moved the buffer.
   Damage relex(std::string_view NewText, int64_t Offset, int64_t OldLen,
                int64_t NewLen);
 
@@ -125,9 +128,18 @@ private:
   /// Rebuilds MaxLook from \p From to the end.
   void recomputeMaxLook(size_t From);
 
+  /// The view token for emitted lexeme \p L of \p Text.
+  Token tokenOf(std::string_view Text, const Lexeme &L) const;
+
+  /// Re-points the views of tokens [0, \p End) at \p Text when the text
+  /// buffer moved since the last lex (an edit that reallocated it).
+  void rebase(std::string_view Text, int64_t End = INT64_MAX);
+
   const Lexer &Lex;
   std::vector<Lexeme> Lexemes;
-  std::vector<Token> Toks; ///< emitted tokens + EOF
+  std::vector<Token> Toks; ///< emitted tokens + EOF, views into the text
+  /// The text buffer the views in Toks point into.
+  const char *Base = nullptr;
   /// Position one past the final lexeme (the EOF token's location).
   uint32_t EndLine = 1, EndCol = 0;
 };

@@ -94,7 +94,8 @@ public:
   EditOutcome applyBatch(const std::vector<Edit> &Batch);
 
   const std::string &text() const { return Text; }
-  /// Parser-visible tokens, identical to a from-scratch tokenize.
+  /// Parser-visible tokens, identical to a from-scratch tokenize. They
+  /// view text(), so the next reset or edit invalidates them.
   const std::vector<Token> &tokens() const { return IncLex.tokens(); }
   /// LISP rendering of the current tree ("" before the first reset).
   std::string treeText() const;
@@ -139,6 +140,8 @@ private:
 /// against this after every edit.
 struct ScratchResult {
   bool ParseOk = false;
+  /// Views into the \p Text passed to scratchParse: valid only while that
+  /// buffer lives.
   std::vector<Token> Tokens;
   std::string TreeText;
   int64_t TreeNodes = 0;

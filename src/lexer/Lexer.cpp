@@ -2,6 +2,8 @@
 
 #include "support/StringUtils.h"
 
+#include <algorithm>
+
 using namespace llstar;
 
 Lexer::Lexer(const LexerSpec &Spec, DiagnosticEngine &Diags) {
@@ -23,10 +25,22 @@ Lexer::Lexer(const LexerSpec &Spec, DiagnosticEngine &Diags) {
   Dfa = regex::CharDfa::fromNfa(N).minimized();
 }
 
+namespace {
+/// Tokens to reserve up front for an input of \p InputSize bytes. The
+/// shipped grammars average 3-6 bytes per token, so one allocation covers
+/// them; capacity never touched costs only address space. The cap keeps a
+/// huge input from committing memory before it has produced a token.
+size_t reserveHint(size_t InputSize) {
+  constexpr size_t BytesPerToken = 2, MaxTokens = size_t(1) << 20;
+  return std::min(InputSize / BytesPerToken, MaxTokens) + 1;
+}
+} // namespace
+
 std::vector<Token> Lexer::tokenize(std::string_view Input,
                                    DiagnosticEngine &Diags,
                                    std::vector<Token> *HiddenOut) const {
   std::vector<Token> Result;
+  Result.reserve(reserveHint(Input.size()));
   const std::vector<regex::CharDfaState> &States = Dfa.states();
   size_t Pos = 0;
   uint32_t Line = 1, Column = 0;
@@ -74,18 +88,14 @@ std::vector<Token> Lexer::tokenize(std::string_view Input,
     }
     LexerAction Action = Actions[size_t(Tag)];
     if (Action == LexerAction::Emit) {
-      Token T(Types[size_t(Tag)],
-              std::string(Input.substr(Pos, size_t(BestLen))),
-              SourceLocation(Line, Column));
-      T.Offset = int64_t(Pos);
-      Result.push_back(std::move(T));
+      Result.push_back(Token::lexed(Input, Types[size_t(Tag)], int64_t(Pos),
+                                    BestLen, SourceLocation(Line, Column)));
+      Result.back().Index = int64_t(Result.size()) - 1;
     } else if (Action == LexerAction::Hidden && HiddenOut) {
-      Token T(Types[size_t(Tag)],
-              std::string(Input.substr(Pos, size_t(BestLen))),
-              SourceLocation(Line, Column));
-      T.Offset = int64_t(Pos);
-      T.Channel = TokenChannel::Hidden;
-      HiddenOut->push_back(std::move(T));
+      HiddenOut->push_back(Token::lexed(Input, Types[size_t(Tag)],
+                                        int64_t(Pos), BestLen,
+                                        SourceLocation(Line, Column)));
+      HiddenOut->back().Channel = TokenChannel::Hidden;
     }
     // Hidden and Skip tokens are both invisible to the parsers; hidden
     // ones are preserved in HiddenOut for trivia-aware tooling.
@@ -94,10 +104,8 @@ std::vector<Token> Lexer::tokenize(std::string_view Input,
     Column = BestCol;
   }
 
-  Token Eof(TokenEof, "<EOF>", SourceLocation(Line, Column));
-  Eof.Offset = int64_t(Input.size());
-  Result.push_back(std::move(Eof));
-  for (size_t I = 0; I < Result.size(); ++I)
-    Result[I].Index = int64_t(I);
+  Result.push_back(
+      Token::eof(int64_t(Input.size()), SourceLocation(Line, Column)));
+  Result.back().Index = int64_t(Result.size()) - 1;
   return Result;
 }

@@ -20,6 +20,7 @@
 #include "regex/CharDFA.h"
 #include "support/Diagnostics.h"
 
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -44,8 +45,18 @@ public:
   /// comments marked `-> hidden`) are omitted from the parse stream but
   /// collected into \p HiddenOut when provided — the hook tools use to
   /// preserve trivia for reformatting or comment extraction.
+  ///
+  /// The tokens are views into \p Input (see \ref Token): they stay valid
+  /// only while the caller keeps that buffer alive and unmodified.
   std::vector<Token> tokenize(std::string_view Input, DiagnosticEngine &Diags,
                               std::vector<Token> *HiddenOut = nullptr) const;
+  std::vector<Token> tokenize(const char *Input, DiagnosticEngine &Diags,
+                              std::vector<Token> *HiddenOut = nullptr) const {
+    return tokenize(std::string_view(Input), Diags, HiddenOut);
+  }
+  /// Tokens of a temporary string would dangle as soon as it dies.
+  std::vector<Token> tokenize(std::string &&, DiagnosticEngine &,
+                              std::vector<Token> * = nullptr) const = delete;
 
   /// Number of DFA states in the compiled automaton (after minimization).
   size_t numDfaStates() const { return Dfa.size(); }

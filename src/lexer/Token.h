@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace llstar {
 
@@ -36,23 +37,51 @@ enum class TokenChannel : uint8_t {
   Hidden,  ///< Kept in the stream but skipped by parsers (whitespace etc.).
 };
 
-/// One lexed token.
+/// One lexed token: a trivially copyable view over the lexer's input.
+///
+/// \ref Text points into the buffer the token was lexed from (the EOF
+/// token's points at a static "<EOF>"), so a token — and every vector,
+/// stream or arena tree holding tokens — is valid only while that buffer
+/// lives and is not modified. Heap ParseTree leaves copy the text into
+/// storage they own and so outlive the input.
 struct Token {
   TokenType Type = TokenInvalid;
-  std::string Text;
+  TokenChannel Channel = TokenChannel::Default;
   SourceLocation Loc;
   /// Byte offset of the token's first character in the original input (the
   /// EOF token's offset is the input length). Edit-range mapping in
   /// src/incremental/ relies on this being set uniformly by every lexer
   /// path, interpreted and compiled alike; -1 only for hand-built tokens.
   int64_t Offset = -1;
-  /// Index within the (channel-filtered) token stream; set by TokenStream.
+  /// Index within the (channel-filtered) token stream; set by the lexer.
   int64_t Index = -1;
-  TokenChannel Channel = TokenChannel::Default;
+  /// The lexeme; a view into the input (see the lifetime rule above).
+  std::string_view Text;
 
   Token() = default;
-  Token(TokenType Type, std::string Text, SourceLocation Loc)
-      : Type(Type), Text(std::move(Text)), Loc(Loc) {}
+  Token(TokenType Type, std::string_view Text, SourceLocation Loc)
+      : Type(Type), Loc(Loc), Text(Text) {}
+  /// String literals have static storage and are always safe to view;
+  /// any other C string must outlive the token like every input.
+  Token(TokenType Type, const char *Text, SourceLocation Loc)
+      : Token(Type, std::string_view(Text), Loc) {}
+  /// A temporary string would leave the view dangling.
+  Token(TokenType, std::string &&, SourceLocation) = delete;
+
+  /// The token lexed at [\p Offset, \p Offset + \p Len) of \p Input; every
+  /// lexer path builds its tokens through this one helper.
+  static Token lexed(std::string_view Input, TokenType Type, int64_t Offset,
+                     int64_t Len, SourceLocation Loc) {
+    Token T(Type, Input.substr(size_t(Offset), size_t(Len)), Loc);
+    T.Offset = Offset;
+    return T;
+  }
+  /// The EOF token ending a stream over an input of \p InputSize bytes.
+  static Token eof(int64_t InputSize, SourceLocation Loc) {
+    Token T(TokenEof, "<EOF>", Loc);
+    T.Offset = InputSize;
+    return T;
+  }
 
   bool isEof() const { return Type == TokenEof; }
 };

@@ -24,6 +24,8 @@ namespace llstar {
 /// A random-access view over a fully lexed token vector.
 ///
 /// The last token must be EOF; LA/LT calls past the end keep returning it.
+/// Token text views the lexer's input (see \ref Token), so the input
+/// buffer must outlive the stream and every arena tree rendered from it.
 class TokenStream {
 public:
   explicit TokenStream(std::vector<Token> Tokens)

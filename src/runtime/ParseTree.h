@@ -35,28 +35,36 @@ enum class ErrorNodeKind : uint8_t {
 };
 
 /// One parse-tree node.
+///
+/// Token leaves copy their text into storage the node owns, so a heap tree
+/// outlives (and survives edits of) the input it was parsed from; token()
+/// views that copy. Nodes therefore never move: they live behind
+/// unique_ptr and are neither copyable nor movable.
 class ParseTree {
 public:
+  ParseTree() = default;
+  ParseTree(const ParseTree &) = delete;
+  ParseTree &operator=(const ParseTree &) = delete;
+
   static std::unique_ptr<ParseTree> ruleNode(int32_t RuleIndex) {
     auto N = std::make_unique<ParseTree>();
     N->RuleIdx = RuleIndex;
     return N;
   }
-  static std::unique_ptr<ParseTree> tokenNode(Token Tok) {
+  static std::unique_ptr<ParseTree> tokenNode(const Token &Tok) {
     auto N = std::make_unique<ParseTree>();
     N->IsToken = true;
-    N->Tok = std::move(Tok);
+    N->adopt(Tok);
     return N;
   }
   /// An error leaf. \p Tok carries the exact source span: the skipped
   /// token itself, or for Missing/Marker nodes the token at the repair
   /// point (Missing nodes carry the conjured type and a synthetic
-  /// `<missing X>` text).
-  static std::unique_ptr<ParseTree> errorNode(Token Tok, ErrorNodeKind Kind) {
-    auto N = std::make_unique<ParseTree>();
-    N->IsToken = true;
+  /// `<missing X>` text, which the node copies like any other).
+  static std::unique_ptr<ParseTree> errorNode(const Token &Tok,
+                                              ErrorNodeKind Kind) {
+    auto N = tokenNode(Tok);
     N->ErrKind = Kind;
-    N->Tok = std::move(Tok);
     return N;
   }
 
@@ -65,11 +73,13 @@ public:
   ErrorNodeKind errorKind() const { return ErrKind; }
   int32_t ruleIndex() const { return RuleIdx; }
   const Token &token() const { return Tok; }
+  /// A token leaf's text as the node's own (null-terminated) string.
+  const std::string &text() const { return OwnedText; }
   /// Replaces a token leaf's payload; the incremental runtime refreshes
   /// reused leaves this way when an edit shifted the retained suffix.
-  void setToken(Token T) {
+  void setToken(const Token &T) {
     assert(IsToken && "not a token leaf");
-    Tok = std::move(T);
+    adopt(T);
   }
 
   /// The node owning this one, null for a root (or a detached subtree).
@@ -149,10 +159,10 @@ public:
   std::string str(const Grammar &G) const {
     if (IsToken) {
       if (ErrKind == ErrorNodeKind::None)
-        return Tok.Text;
+        return OwnedText;
       if (ErrKind == ErrorNodeKind::Marker)
         return "(error)";
-      return "(error " + Tok.Text + ")";
+      return "(error " + OwnedText + ")";
     }
     std::string Out = "(" + G.rule(RuleIdx).Name;
     for (const auto &C : Children) {
@@ -166,12 +176,20 @@ public:
   }
 
 private:
+  /// Copies \p T, re-pointing its text at this node's own storage.
+  void adopt(const Token &T) {
+    OwnedText.assign(T.Text); // assign tolerates T.Text aliasing OwnedText
+    Tok = T;
+    Tok.Text = OwnedText;
+  }
+
   bool IsToken = false;
   ErrorNodeKind ErrKind = ErrorNodeKind::None;
   int32_t RuleIdx = -1;
   uint32_t Slot = 0;
   ParseTree *Parent = nullptr;
   Token Tok;
+  std::string OwnedText; ///< Tok.Text's storage (token leaves)
   std::vector<std::unique_ptr<ParseTree>> Children;
 };
 

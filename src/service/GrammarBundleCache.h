@@ -53,11 +53,18 @@ public:
   const Grammar &grammar() const { return AG->grammar(); }
 
   /// Tokenizes \p Input with the bundle's compiled lexer. Safe to call
-  /// from many threads at once.
+  /// from many threads at once. The tokens view \p Input, which must
+  /// outlive them (see Lexer::tokenize).
   std::vector<Token> tokenize(std::string_view Input,
                               DiagnosticEngine &Diags) const {
     return Lex->tokenize(Input, Diags);
   }
+  std::vector<Token> tokenize(const char *Input,
+                              DiagnosticEngine &Diags) const {
+    return Lex->tokenize(Input, Diags);
+  }
+  std::vector<Token> tokenize(std::string &&, DiagnosticEngine &) const =
+      delete;
 
   /// The bundle's compiled lexer. Incremental sessions re-lex damaged
   /// windows with the same DFA tables full tokenization uses, so spliced

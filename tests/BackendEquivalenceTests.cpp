@@ -92,6 +92,7 @@ std::vector<Token> lex(const AnalyzedGrammar &AG, const std::string &Input) {
   Lexer L(AG.grammar().lexerSpec(), Diags);
   return L.tokenize(Input, Diags);
 }
+std::vector<Token> lex(const AnalyzedGrammar &, std::string &&) = delete;
 
 /// Everything a parse may observe that must be backend-independent.
 /// (ParserStats excluded: DFA shapes legitimately differ.)

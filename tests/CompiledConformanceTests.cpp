@@ -75,6 +75,7 @@ std::vector<Token> lex(const AnalyzedGrammar &AG, const std::string &Input) {
   Lexer L(AG.grammar().lexerSpec(), Diags);
   return L.tokenize(Input, Diags);
 }
+std::vector<Token> lex(const AnalyzedGrammar &, std::string &&) = delete;
 
 /// Everything observable from one parse, for differential comparison.
 struct Capture {

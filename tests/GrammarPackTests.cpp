@@ -34,6 +34,10 @@ struct PackCase {
   std::vector<const char *> Bad;
 };
 
+// Name each case by its grammar file. Without this, gtest prints the raw
+// bytes of the struct, i.e. pointer values that change with every run.
+void PrintTo(const PackCase &C, std::ostream *OS) { *OS << C.File; }
+
 class GrammarPack : public ::testing::TestWithParam<PackCase> {};
 
 TEST_P(GrammarPack, AnalyzesAndParses) {

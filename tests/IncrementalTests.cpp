@@ -14,7 +14,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "compiled/CompiledParser.h"
 #include "incremental/IncrementalSession.h"
+#include "runtime/LLStarParser.h"
 #include "service/GrammarBundleCache.h"
 
 #include <gtest/gtest.h>
@@ -391,6 +393,92 @@ TEST(IncrementalSessionTest, NoReuseBaselineMatchesToo) {
   ASSERT_EQ(O.Error, EditScriptError::None);
   EXPECT_EQ(O.NodesReused, 0); // baseline never splices
   expectMatchesScratch(S, SO, "no-reuse baseline");
+}
+
+//===----------------------------------------------------------------------===//
+// Token views and text ownership
+//===----------------------------------------------------------------------===//
+
+// Session tokens view the session's text. Edits that make std::string
+// reallocate (a large paste at the front, then appends) must re-point
+// every retained view, or the parse reads freed memory.
+TEST(IncrementalSessionTest, TokenViewsFollowTheTextWhenItReallocates) {
+  auto Bundle = bundleOrFail(ExprGrammar);
+  for (const SessionOptions &SO : allModes()) {
+    IncrementalSession S(Bundle, SO);
+    S.reset("1 + x");
+    auto Check = [&](const char *Where) {
+      for (const Token &T : S.tokens()) {
+        if (T.isEof()) {
+          EXPECT_EQ(T.Text, "<EOF>") << Where;
+          continue;
+        }
+        ASSERT_EQ(T.Text.data(), S.text().data() + T.Offset) << Where;
+        EXPECT_EQ(T.Text, std::string_view(S.text()).substr(
+                              size_t(T.Offset), T.Text.size()))
+            << Where;
+      }
+      expectMatchesScratch(S, SO, Where);
+    };
+    Check("reset");
+
+    std::string Paste;
+    for (int I = 0; I < 64; ++I)
+      Paste += "(a" + std::to_string(I) + " * 2) + ";
+    const char *Before = S.text().data();
+    ASSERT_EQ(S.applyEdit({0, 0, Paste}).Error, EditScriptError::None);
+    ASSERT_NE(S.text().data(), Before) << "the paste must reallocate";
+    Check("paste at the front");
+
+    int Moves = 0;
+    for (int I = 0; I < 48; ++I) {
+      Before = S.text().data();
+      std::string Tail = " + b" + std::to_string(I) + " * (c - 1)";
+      if (I % 8 == 7)
+        Tail = " + (d"; // unbalanced: strict fails, recovery conjures ')'
+      ASSERT_EQ(S.applyEdit({int64_t(S.text().size()), 0, Tail}).Error,
+                EditScriptError::None);
+      Moves += S.text().data() != Before;
+      Check("append");
+    }
+    EXPECT_GE(Moves, 1) << "the appends must reallocate the text too";
+  }
+}
+
+// Heap trees own their token text: a tree, recovered `<missing X>` leaf
+// included, renders the same after its input string is gone.
+TEST(HeapTreeTest, RendersAfterItsInputIsDestroyed) {
+  auto Bundle = bundleOrFail(ExprGrammar);
+  const AnalyzedGrammar &AG = Bundle->analyzed();
+  for (bool Compiled : {false, true}) {
+    SCOPED_TRACE(Compiled ? "compiled" : "interpreter");
+    std::unique_ptr<ParseTree> Tree;
+    std::string Expected;
+    {
+      auto Input = std::make_unique<std::string>("(alpha + 12 * beta");
+      DiagnosticEngine Diags;
+      TokenStream Stream(Bundle->tokenize(*Input, Diags));
+      ParserOptions PO;
+      PO.BuildTree = true;
+      PO.Recover = true;
+      if (Compiled) {
+        const compiled::CompiledResolution &CT = Bundle->compiledTables();
+        compiled::CompiledParser P(AG, CT.View, Stream, nullptr, Diags, PO,
+                                   CT.Native, CT.Rules);
+        Tree = P.parse("s");
+      } else {
+        LLStarParser P(AG, Stream, nullptr, Diags, PO);
+        Tree = P.parse("s");
+      }
+      ASSERT_TRUE(Tree);
+      Expected = Tree->str(AG.grammar());
+      Input->assign(Input->size(), '#'); // clobber, then free, the input
+    }
+    EXPECT_NE(Expected.find("(error <missing ')'>)"), std::string::npos)
+        << Expected;
+    EXPECT_NE(Expected.find("alpha"), std::string::npos) << Expected;
+    EXPECT_EQ(Tree->str(AG.grammar()), Expected);
+  }
 }
 
 } // namespace

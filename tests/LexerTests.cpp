@@ -1,5 +1,8 @@
 //===- tests/LexerTests.cpp - DFA lexer and token stream tests ------------===//
 
+#include "TestHelpers.h"
+#include "fuzz/SentenceGen.h"
+#include "fuzz/SentenceSampler.h"
 #include "lexer/Lexer.h"
 #include "lexer/TokenStream.h"
 #include "lexer/Vocabulary.h"
@@ -7,7 +10,18 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <type_traits>
+
 using namespace llstar;
+
+// The runtime holds every token of a request in memory (LL(*) lookahead
+// and syntactic predicates rewind), so a token must stay a small view.
+static_assert(std::is_trivially_copyable_v<Token>);
+static_assert(std::is_trivially_destructible_v<Token>);
+static_assert(sizeof(Token) <= 48);
 
 namespace {
 
@@ -93,10 +107,12 @@ TEST(Lexer, EmptyMatchingRuleRejected) {
 }
 
 TEST(TokenStream, LookaheadAndSeek) {
+  // Token text is a view; the strings it views must outlive the stream.
+  const std::string Texts[] = {"t0", "t1", "t2"};
   std::vector<Token> Tokens;
   for (int I = 0; I < 3; ++I)
-    Tokens.push_back(Token(TokenType(I + 1), "t" + std::to_string(I),
-                           SourceLocation(1, uint32_t(I))));
+    Tokens.push_back(
+        Token(TokenType(I + 1), Texts[I], SourceLocation(1, uint32_t(I))));
   Tokens.push_back(Token(TokenEof, "<EOF>", SourceLocation(1, 3)));
   for (size_t I = 0; I < Tokens.size(); ++I)
     Tokens[I].Index = int64_t(I);
@@ -160,6 +176,71 @@ TEST(Lexer, HiddenChannelTokensPreserved) {
   ASSERT_EQ(Hidden.size(), 1u);
   EXPECT_EQ(Hidden[0].Text, "#note here");
   EXPECT_EQ(Hidden[0].Channel, TokenChannel::Hidden);
+}
+
+/// Every token of \p Toks views \p Input at its own offset.
+void expectViewsInto(std::string_view Input, const std::vector<Token> &Toks) {
+  for (const Token &T : Toks) {
+    if (T.isEof()) {
+      EXPECT_EQ(T.Offset, int64_t(Input.size()));
+      EXPECT_EQ(T.Text, "<EOF>");
+      continue;
+    }
+    ASSERT_GE(T.Offset, 0);
+    ASSERT_LE(size_t(T.Offset) + T.Text.size(), Input.size());
+    EXPECT_EQ(T.Text.data(), Input.data() + T.Offset) << T.Text;
+    EXPECT_EQ(T.Text, Input.substr(size_t(T.Offset), T.Text.size()));
+  }
+}
+
+// Token text is a view into the caller's input: for every shipped grammar,
+// over a corpus of derived and sampled sentences, each token (parse-stream
+// and hidden-channel alike) points exactly at its bytes of the input.
+TEST(Lexer, TokensViewTheInputAcrossTheShippedGrammars) {
+  std::filesystem::path Dir =
+      std::filesystem::path(LLSTAR_SOURCE_DIR) / "grammars";
+  int Grammars = 0;
+  size_t HiddenTokens = 0;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir)) {
+    if (Entry.path().extension() != ".g")
+      continue;
+    SCOPED_TRACE(Entry.path().filename().string());
+    std::ifstream In(Entry.path());
+    std::ostringstream Buf;
+    Buf << In.rdbuf();
+    // Route skipped trivia to the hidden channel so it is lexed and kept.
+    std::string Text = Buf.str();
+    for (size_t At; (At = Text.find("-> skip")) != std::string::npos;)
+      Text.replace(At, 7, "-> hidden");
+    auto AG = test::analyzeOrFail(Text);
+    ASSERT_TRUE(AG);
+    ++Grammars;
+
+    std::string Corpus;
+    auto Append = [&](const std::vector<std::string> &Words) {
+      for (const std::string &W : Words)
+        Corpus += W + " ";
+      Corpus += "\n";
+    };
+    for (const auto &Seed : fuzz::SentenceGen(*AG).seeds())
+      Append(Seed);
+    fuzz::SentenceSampler Sampler(AG->grammar(), /*Seed=*/12);
+    for (int I = 0; I < 16; ++I)
+      Append(Sampler.sample());
+
+    DiagnosticEngine Diags;
+    Lexer L(AG->grammar().lexerSpec(), Diags);
+    std::vector<Token> Hidden;
+    std::vector<Token> Toks = L.tokenize(Corpus, Diags, &Hidden);
+    ASSERT_GT(Toks.size(), 1u);
+    expectViewsInto(Corpus, Toks);
+    expectViewsInto(Corpus, Hidden);
+    for (const Token &T : Hidden)
+      EXPECT_EQ(T.Channel, TokenChannel::Hidden);
+    HiddenTokens += Hidden.size();
+  }
+  EXPECT_EQ(Grammars, 7);
+  EXPECT_GT(HiddenTokens, 0u);
 }
 
 } // namespace

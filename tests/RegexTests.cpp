@@ -128,6 +128,10 @@ struct PatternCase {
   const char *Pattern;
 };
 
+// Name each case by its pattern rather than by the pointer value gtest
+// would print for the struct.
+void PrintTo(const PatternCase &C, std::ostream *OS) { *OS << C.Pattern; }
+
 class RegexEquivalence : public ::testing::TestWithParam<PatternCase> {};
 
 TEST_P(RegexEquivalence, DfaAgreesWithNfaAndMinimized) {

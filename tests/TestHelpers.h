@@ -41,14 +41,19 @@ analyzeWithDiags(const std::string &Text, DiagnosticEngine &Diags) {
 }
 
 /// Tokenizes \p Input with the grammar's lexer; fails the test on errors.
+/// The stream's tokens view \p Input, which must outlive it.
 inline TokenStream lexOrFail(const AnalyzedGrammar &AG,
-                             const std::string &Input) {
+                             std::string_view Input) {
   DiagnosticEngine Diags;
   Lexer L(AG.grammar().lexerSpec(), Diags);
   std::vector<Token> Tokens = L.tokenize(Input, Diags);
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
   return TokenStream(std::move(Tokens));
 }
+inline TokenStream lexOrFail(const AnalyzedGrammar &AG, const char *Input) {
+  return lexOrFail(AG, std::string_view(Input));
+}
+TokenStream lexOrFail(const AnalyzedGrammar &, std::string &&) = delete;
 
 /// Token type for a symbolic name ("ID"), a quoted literal ("'int'"), or
 /// "EOF".
