@@ -456,8 +456,7 @@ std::string llstar::serializeGrammar(const AnalyzedGrammar &AG) {
 //===----------------------------------------------------------------------===//
 
 std::unique_ptr<CompiledGrammar>
-llstar::deserializeGrammar(std::string_view Text, DiagnosticEngine &Diags,
-                           BackendKind Backend) {
+llstar::deserializeGrammar(std::string_view Text, DiagnosticEngine &Diags) {
   Reader R(Text, Diags);
   if (!R.word(Magic))
     return nullptr;
@@ -711,8 +710,7 @@ llstar::deserializeGrammar(std::string_view Text, DiagnosticEngine &Diags,
   Result->LexerTypes = std::move(Types);
   Result->AG = AnalyzedGrammar::fromParts(
       std::move(G), std::move(M), std::move(Dfas),
-      RecoverySets::fromTables(std::move(Follow), std::move(ReachesEnd)),
-      Backend);
+      RecoverySets::fromTables(std::move(Follow), std::move(ReachesEnd)));
   return Result;
 }
 
@@ -728,6 +726,8 @@ std::vector<Token> CompiledGrammar::tokenize(std::string_view Input,
 
 namespace {
 constexpr const char *BundleMagic = "llstarbundle";
+/// The analysis word v3 headers carry after the payload hash.
+constexpr const char *BundleAnalysis = "llstar";
 } // namespace
 
 std::string llstar::writeBundle(const AnalyzedGrammar &AG) {
@@ -740,7 +740,7 @@ std::string llstar::writeBundle(const AnalyzedGrammar &AG) {
   Out += ' ';
   Out += std::to_string(hashBytes(Payload));
   Out += ' ';
-  Out += AG.backendName();
+  Out += BundleAnalysis;
   Out += '\n';
   Out += Payload;
   return Out;
@@ -763,11 +763,11 @@ std::unique_ptr<CompiledGrammar> llstar::readBundle(std::string_view Bytes,
   }
 
   // Header fields: version, payload size, payload hash — all decimal —
-  // plus, in v3, the producing-backend word.
+  // plus, in v3, the analysis word.
   std::string_view Header = Bytes.substr(
       std::strlen(BundleMagic), HeaderEnd - std::strlen(BundleMagic));
   uint64_t Fields[3] = {0, 0, 0};
-  std::string BackendWord;
+  std::string AnalysisWord;
   {
     size_t P = 0;
     for (uint64_t &F : Fields) {
@@ -793,7 +793,7 @@ std::unique_ptr<CompiledGrammar> llstar::readBundle(std::string_view Bytes,
     size_t WordEnd = P;
     while (WordEnd < Header.size() && Header[WordEnd] != ' ')
       ++WordEnd;
-    BackendWord = std::string(Header.substr(P, WordEnd - P));
+    AnalysisWord = std::string(Header.substr(P, WordEnd - P));
     P = WordEnd;
     while (P < Header.size() && Header[P] == ' ')
       ++P;
@@ -803,28 +803,27 @@ std::unique_ptr<CompiledGrammar> llstar::readBundle(std::string_view Bytes,
     }
   }
 
-  // v2 headers end at the hash (the backend is implicitly llstar); v3
-  // appends the backend word. Everything else is from the future.
+  // v2 headers end at the hash; v3 appends the analysis word. Everything
+  // else is from the future.
   if (int64_t(Fields[0]) != 2 && int64_t(Fields[0]) != BundleFormatVersion) {
     Diags.error("unsupported bundle format version " +
                 std::to_string(Fields[0]) + " (this build reads versions 2-" +
                 std::to_string(BundleFormatVersion) + ")");
     return nullptr;
   }
-  BackendKind Backend = BackendKind::LLStar;
-  if (int64_t(Fields[0]) == 2) {
-    if (!BackendWord.empty()) {
-      Diags.error("malformed bundle header");
-      return nullptr;
-    }
-  } else {
-    const AnalysisBackend *B = findAnalysisBackend(BackendWord);
-    if (!B) {
-      Diags.error("bundle names unknown analysis backend '" + BackendWord +
-                  "' (this build knows: " + analysisBackendNames() + ")");
-      return nullptr;
-    }
-    Backend = B->kind();
+  if ((Fields[0] == 2) != AnalysisWord.empty()) {
+    Diags.error("malformed bundle header");
+    return nullptr;
+  }
+  if (AnalysisWord == "llfinite") {
+    Diags.error("bundle was built by the removed 'llfinite' analysis "
+                "backend; recompile it from the grammar with llstar compile");
+    return nullptr;
+  }
+  if (!AnalysisWord.empty() && AnalysisWord != BundleAnalysis) {
+    Diags.error("bundle names unknown analysis backend '" + AnalysisWord +
+                "' (this build knows: " + BundleAnalysis + ")");
+    return nullptr;
   }
   std::string_view Payload = Bytes.substr(HeaderEnd + 1);
   if (Payload.size() != Fields[1]) {
@@ -837,5 +836,5 @@ std::unique_ptr<CompiledGrammar> llstar::readBundle(std::string_view Bytes,
     Diags.error("corrupt bundle: payload hash mismatch");
     return nullptr;
   }
-  return deserializeGrammar(Payload, Diags, Backend);
+  return deserializeGrammar(Payload, Diags);
 }

@@ -20,16 +20,6 @@ DifferentialOracle::DifferentialOracle(std::string GrammarText)
   for (const Rule &R : AG->grammar().rules())
     if (R.IsPrecedenceRule)
       TreesCmp = false;
-
-  // The LL(finite) twin for the three-way comparison. llstar accepted the
-  // grammar, so llfinite must too; a failure here is reported by
-  // checkGrammar as a backend bug, not a generator bug.
-  DiagnosticEngine FiniteDiags;
-  FiniteAG = analyzeGrammarText(Text, FiniteDiags, BackendKind::LLFinite);
-  if (!FiniteAG || FiniteDiags.hasErrors()) {
-    FiniteAG = nullptr;
-    FiniteErr = FiniteDiags.str();
-  }
 }
 
 OracleVerdict DifferentialOracle::checkGrammar() {
@@ -55,24 +45,6 @@ OracleVerdict DifferentialOracle::checkGrammar() {
           "two DFA constructions differ at serialized offset " +
               std::to_string(At));
     }
-  }
-
-  // Backend totality: llstar analyzed this grammar, so llfinite must too.
-  if (!FiniteAG)
-    return OracleVerdict::fail("backend-analyze",
-                               "llfinite backend failed on a grammar llstar "
-                               "accepted:\n" +
-                                   FiniteErr);
-
-  // llfinite determinism, same contract as llstar above.
-  {
-    std::string FiniteFirst = serializeGrammar(*FiniteAG);
-    DiagnosticEngine Diags;
-    auto F2 = analyzeGrammarText(Text, Diags, BackendKind::LLFinite);
-    if (!F2 || Diags.hasErrors() || serializeGrammar(*F2) != FiniteFirst)
-      return OracleVerdict::fail(
-          "nondeterministic-analysis",
-          "two llfinite DFA constructions of the same text differ");
   }
 
   // Serializer round-trip: the compiled form must load back cleanly. The
@@ -173,24 +145,6 @@ OracleVerdict DifferentialOracle::checkSentence(const std::string &Input) {
                                "parse trees differ on input <" + Input +
                                    ">\nLL(*):   " + LL.Tree +
                                    "\npackrat: " + Peg.Tree);
-
-  // Third leg: the same runtime over LL(finite) decision tables must agree
-  // with LL(*) on verdict and tree.
-  if (FiniteAG) {
-    ParseOutcome Fin = runLLStar(*FiniteAG, Input);
-    if (Fin.Ok != LL.Ok)
-      return OracleVerdict::fail(
-          "backend-accept-mismatch",
-          "llfinite " + std::string(Fin.Ok ? "accepts" : "rejects") +
-              " but llstar " + std::string(LL.Ok ? "accepts" : "rejects") +
-              " input <" + Input + ">\nllfinite: " + Fin.Diags +
-              "llstar: " + LL.Diags);
-    if (Fin.Ok && TreesCmp && Fin.Tree != LL.Tree)
-      return OracleVerdict::fail("backend-tree-mismatch",
-                                 "backends build different trees on input <" +
-                                     Input + ">\nllstar:   " + LL.Tree +
-                                     "\nllfinite: " + Fin.Tree);
-  }
 
   // Serializer re-prediction: the deserialized tables must behave like the
   // fresh analysis — same tokens, same verdict, same tree.

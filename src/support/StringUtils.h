@@ -12,9 +12,12 @@
 #ifndef LLSTAR_SUPPORT_STRINGUTILS_H
 #define LLSTAR_SUPPORT_STRINGUTILS_H
 
+#include <charconv>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace llstar {
@@ -42,6 +45,36 @@ std::string join(const std::vector<std::string> &Parts, std::string_view Sep);
 /// printf-style formatting into a std::string.
 std::string formatString(const char *Fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/// Parses all of \p Text as a base-10 integer in [\p Min, \p Max] into
+/// \p Out. Built on std::from_chars, so an empty string, whitespace, a
+/// '+' (or a '-' for an unsigned type), trailing characters and values
+/// that overflow \p T or fall outside the range all fail and leave \p Out
+/// unchanged.
+template <typename T>
+bool parseInteger(std::string_view Text, T &Out,
+                  std::type_identity_t<T> Min = std::numeric_limits<T>::min(),
+                  std::type_identity_t<T> Max = std::numeric_limits<T>::max()) {
+  T V{};
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, V);
+  if (Ec != std::errc() || Ptr != End || V < Min || V > Max)
+    return false;
+  Out = V;
+  return true;
+}
+
+/// The command-line form of \ref parseInteger: parses the value following
+/// the flag at \p Args[I] and advances \p I past it. False when the value
+/// is missing, malformed or out of range; the tools treat that as a usage
+/// error.
+template <typename T>
+bool parseIntegerFlag(
+    const std::vector<std::string> &Args, size_t &I, T &Out,
+    std::type_identity_t<T> Min = std::numeric_limits<T>::min(),
+    std::type_identity_t<T> Max = std::numeric_limits<T>::max()) {
+  return I + 1 < Args.size() && parseInteger(Args[++I], Out, Min, Max);
+}
 
 } // namespace llstar
 

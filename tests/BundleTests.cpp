@@ -10,6 +10,7 @@
 #include "TestHelpers.h"
 #include "codegen/Serializer.h"
 #include "service/GrammarBundleCache.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -79,6 +80,55 @@ TEST(BundleTest, RejectsWrongMagicAndVersions) {
   EXPECT_EQ(readBundle(Future, D2), nullptr);
   EXPECT_NE(D2.str().find("unsupported bundle format version"),
             std::string::npos);
+}
+
+TEST(BundleTest, HeaderAnalysisWord) {
+  std::string Bytes = makeBundle();
+  size_t HeaderEnd = Bytes.find('\n');
+  std::string Payload = Bytes.substr(HeaderEnd + 1);
+  std::string Sizes = " " + std::to_string(Payload.size()) + " " +
+                      std::to_string(hashBytes(Payload));
+  auto Load = [&](const std::string &Header, DiagnosticEngine &Diags) {
+    return readBundle(Header + "\n" + Payload, Diags);
+  };
+
+  // writeBundle stamps v3 plus "llstar", byte-identically on every write,
+  // and that header loads.
+  EXPECT_EQ(Bytes.substr(0, HeaderEnd), "llstarbundle 3" + Sizes + " llstar");
+  EXPECT_EQ(makeBundle(), Bytes);
+  {
+    DiagnosticEngine Diags;
+    EXPECT_TRUE(Load("llstarbundle 3" + Sizes + " llstar", Diags))
+        << Diags.str();
+  }
+  // v2 headers end at the hash and still load.
+  {
+    DiagnosticEngine Diags;
+    EXPECT_TRUE(Load("llstarbundle 2" + Sizes, Diags)) << Diags.str();
+  }
+  // Bundles from the removed LL(finite) backend get their own diagnostic.
+  {
+    DiagnosticEngine Diags;
+    EXPECT_EQ(Load("llstarbundle 3" + Sizes + " llfinite", Diags), nullptr);
+    EXPECT_NE(Diags.str().find("removed 'llfinite' analysis backend"),
+              std::string::npos)
+        << Diags.str();
+  }
+  {
+    DiagnosticEngine Diags;
+    EXPECT_EQ(Load("llstarbundle 3" + Sizes + " bogus", Diags), nullptr);
+    EXPECT_NE(Diags.str().find("unknown analysis backend 'bogus'"),
+              std::string::npos)
+        << Diags.str();
+  }
+  // v3 without the word, and v2 with one, are malformed.
+  for (const std::string &Header :
+       {"llstarbundle 3" + Sizes, "llstarbundle 2" + Sizes + " llstar"}) {
+    DiagnosticEngine Diags;
+    EXPECT_EQ(Load(Header, Diags), nullptr) << Header;
+    EXPECT_NE(Diags.str().find("malformed bundle header"), std::string::npos)
+        << Header << ": " << Diags.str();
+  }
 }
 
 TEST(BundleTest, RejectsHeaderOverflowWithoutThrowing) {

@@ -389,12 +389,17 @@ TEST(LintProfile, LoadsAllStatsShapes) {
       "\"events\":5,\"totalK\":7,\"maxK\":3,\"backtrackEvents\":1,"
       "\"backtrackTotalK\":2,\"altEvents\":[4,1]}]";
   // Raw ParserStats JSON, the --stats-out wrapper, and ServiceMetrics
-  // nesting all load identically.
+  // nesting all load identically. So do profiles from earlier builds,
+  // whose stats object led with the analysis backend's name.
   for (const std::string &Doc :
        {"{" + Decisions + "}",
         "{\"llstarProfile\":1,\"grammar\":\"g\",\"stats\":{" + Decisions +
             "}}",
-        "{\"threads\":4,\"parser\":{" + Decisions + "}}"}) {
+        "{\"threads\":4,\"parser\":{" + Decisions + "}}",
+        "{\"backend\":\"llstar\"," + Decisions + "}",
+        "{\"llstarProfile\":1,\"grammar\":\"g\",\"stats\":{"
+        "\"backend\":\"llfinite\"," +
+            Decisions + "}}"}) {
     LintProfile P = loadProfile(Doc);
     ASSERT_EQ(P.size(), 1u) << Doc;
     EXPECT_EQ(P.totalEvents(), 5);
@@ -481,7 +486,6 @@ TEST(LintProfile, ApplyProfileAnnotatesAndReRanks) {
 
   // Two same-severity findings; the profiled one is listed second but
   // must rank first once observed cost is attributed.
-  LintResult R;
   LintDiagnostic Cold;
   Cold.Id = "cold";
   Cold.Loc = SourceLocation(1, 0);
@@ -489,22 +493,29 @@ TEST(LintProfile, ApplyProfileAnnotatesAndReRanks) {
   Hot.Id = "hot";
   Hot.Loc = SourceLocation(2, 0);
   Hot.Decision = SDecision;
-  R.Diagnostics = {Cold, Hot};
 
-  LintProfile P = loadProfile(
-      "{\"decisions\":[{\"decision\":" + std::to_string(SDecision) +
+  const std::string Decisions =
+      "\"decisions\":[{\"decision\":" + std::to_string(SDecision) +
       ",\"rule\":\"s\",\"decisionInRule\":0,\"events\":100,\"totalK\":250,"
       "\"maxK\":4,\"backtrackEvents\":3,\"backtrackTotalK\":30,"
-      "\"altEvents\":[]}]}");
-  applyProfile(R, P, *AG);
-  ASSERT_EQ(R.Diagnostics.size(), 2u);
-  EXPECT_EQ(R.Diagnostics[0].Id, "hot");
-  EXPECT_TRUE(R.Diagnostics[0].hasHotness());
-  EXPECT_EQ(R.Diagnostics[0].HotEvents, 100);
-  EXPECT_EQ(R.Diagnostics[0].HotMaxK, 4);
-  EXPECT_EQ(R.Diagnostics[0].HotBacktracks, 3);
-  EXPECT_EQ(R.Diagnostics[0].HotScore, 250 + 10 * 30);
-  EXPECT_FALSE(R.Diagnostics[1].hasHotness());
+      "\"altEvents\":[]}]";
+  // Profiles from earlier builds name the analysis backend first; the key
+  // is ignored, so they rank exactly like the current format.
+  for (const std::string &Doc :
+       {"{" + Decisions + "}", "{\"backend\":\"llstar\"," + Decisions + "}",
+        "{\"backend\":\"llfinite\"," + Decisions + "}"}) {
+    LintResult R;
+    R.Diagnostics = {Cold, Hot};
+    applyProfile(R, loadProfile(Doc), *AG);
+    ASSERT_EQ(R.Diagnostics.size(), 2u) << Doc;
+    EXPECT_EQ(R.Diagnostics[0].Id, "hot") << Doc;
+    EXPECT_TRUE(R.Diagnostics[0].hasHotness());
+    EXPECT_EQ(R.Diagnostics[0].HotEvents, 100);
+    EXPECT_EQ(R.Diagnostics[0].HotMaxK, 4);
+    EXPECT_EQ(R.Diagnostics[0].HotBacktracks, 3);
+    EXPECT_EQ(R.Diagnostics[0].HotScore, 250 + 10 * 30);
+    EXPECT_FALSE(R.Diagnostics[1].hasHotness());
+  }
 }
 
 //===----------------------------------------------------------------------===//

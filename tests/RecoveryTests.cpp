@@ -462,17 +462,21 @@ B:'b'; C:'c';
 }
 
 TEST(SentenceGen, ShippedGrammarSeedsParseCleanly) {
-  std::string Text =
-      readFileOrEmpty(std::string(LLSTAR_SOURCE_DIR) + "/grammars/json.g");
-  ASSERT_FALSE(Text.empty());
-  auto AG = analyzeOrFail(Text);
-  ASSERT_TRUE(AG);
-  fuzz::SentenceGen Gen(*AG);
-  auto Seeds = Gen.seeds();
-  ASSERT_FALSE(Seeds.empty());
-  for (const auto &Seed : Seeds)
-    EXPECT_TRUE(parses(*AG, fuzz::SentenceSampler::render(Seed)))
-        << fuzz::SentenceSampler::render(Seed);
+  for (const char *Name :
+       {"csv", "dot", "ini", "json", "lambda", "lua", "sexpr"}) {
+    SCOPED_TRACE(Name);
+    std::string Text = readFileOrEmpty(std::string(LLSTAR_SOURCE_DIR) +
+                                       "/grammars/" + Name + ".g");
+    ASSERT_FALSE(Text.empty());
+    auto AG = analyzeOrFail(Text);
+    ASSERT_TRUE(AG);
+    fuzz::SentenceGen Gen(*AG);
+    auto Seeds = Gen.seeds();
+    ASSERT_FALSE(Seeds.empty());
+    for (const auto &Seed : Seeds)
+      EXPECT_TRUE(parses(*AG, fuzz::SentenceSampler::render(Seed)))
+          << fuzz::SentenceSampler::render(Seed);
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -180,6 +180,46 @@ TEST(StringUtils, JoinAndFormat) {
   EXPECT_EQ(formatString("%d-%s", 42, "x"), "42-x");
 }
 
+TEST(StringUtils, ParseIntegerIsStrict) {
+  int32_t I = 7;
+  EXPECT_TRUE(parseInteger("42", I));
+  EXPECT_EQ(I, 42);
+  EXPECT_TRUE(parseInteger("-3", I));
+  EXPECT_EQ(I, -3);
+  // Anything but a whole, in-range decimal fails and leaves Out alone.
+  for (const char *Bad : {"", "abc", "12abc", " 1", "1 ", "+1", "0x10",
+                          "99999999999"}) {
+    EXPECT_FALSE(parseInteger(Bad, I)) << Bad;
+    EXPECT_EQ(I, -3) << Bad;
+  }
+  uint16_t Port = 0;
+  EXPECT_TRUE(parseInteger("65535", Port));
+  EXPECT_EQ(Port, 65535);
+  EXPECT_FALSE(parseInteger("70000", Port)); // no truncation to 4464
+  EXPECT_FALSE(parseInteger("-1", Port));
+  uint64_t Seed = 0;
+  EXPECT_TRUE(parseInteger("18446744073709551615", Seed));
+  EXPECT_EQ(Seed, UINT64_MAX);
+  // Explicit bounds.
+  EXPECT_FALSE(parseInteger("0", I, 1));
+  EXPECT_FALSE(parseInteger("101", I, 0, 100));
+  EXPECT_TRUE(parseInteger("100", I, 0, 100));
+  EXPECT_EQ(I, 100);
+
+  // The flag form reads the value after Args[I] and advances I past it.
+  std::vector<std::string> Args = {"--port", "8080", "--iters", "abc",
+                                   "--last"};
+  size_t At = 0;
+  EXPECT_TRUE(parseIntegerFlag(Args, At, Port));
+  EXPECT_EQ(At, 1u);
+  EXPECT_EQ(Port, 8080);
+  At = 2;
+  EXPECT_FALSE(parseIntegerFlag(Args, At, I));
+  Args.pop_back();
+  At = Args.size() - 1;
+  EXPECT_FALSE(parseIntegerFlag(Args, At, I)); // value missing
+}
+
 TEST(SourceLocation, OrderingAndStr) {
   EXPECT_LT(SourceLocation(1, 5), SourceLocation(2, 0));
   EXPECT_LT(SourceLocation(2, 0), SourceLocation(2, 1));

@@ -56,9 +56,6 @@ int usage() {
       "  --compiled        parse with the compiled fast path (checked-in\n"
       "                    dense-table modules when available; identical\n"
       "                    results, higher throughput)\n"
-      "  --backend NAME    prediction-analysis backend for .g grammars\n"
-      "                    (llstar or llfinite; default llstar — .llb\n"
-      "                    bundles carry their backend in the header)\n"
       "  --json-metrics F  write merged service metrics JSON to F (- = stdout)\n"
       "  --stats-out F     write a decision-keyed parse profile to F, the\n"
       "                    merged ParserStats of every worker with stable\n"
@@ -119,7 +116,6 @@ bool expandInput(const std::string &Operand, std::vector<std::string> &Paths) {
 struct Options {
   std::string GrammarArg;
   std::vector<std::string> InputOperands;
-  BackendKind Backend = BackendKind::LLStar;
   int Sample = 0;
   uint64_t Seed = 1;
   int Threads = 0;
@@ -147,8 +143,7 @@ bool writeProfile(const std::string &Path, const GrammarBundle &Bundle,
   std::vector<DecisionKey> Keys = Bundle.analyzed().decisionKeys();
   std::string Json = "{\"llstarProfile\":1,\"grammar\":\"" + Bundle.name() +
                      "\",\"stats\":" +
-                     Stats.json(/*IncludeDecisions=*/true, &Keys,
-                                Bundle.analyzed().backendName()) +
+                     Stats.json(/*IncludeDecisions=*/true, &Keys) +
                      "}";
   if (Path == "-") {
     std::printf("%s\n", Json.c_str());
@@ -259,36 +254,21 @@ int main(int Argc, char **Argv) {
 
   for (size_t I = 0; I < Args.size(); ++I) {
     const std::string &A = Args[I];
-    auto Value = [&](int64_t &Out) {
-      if (I + 1 >= Args.size())
-        return false;
-      Out = std::atoll(Args[++I].c_str());
-      return true;
-    };
-    int64_t V;
-    if (A == "--sample" && Value(V))
-      O.Sample = int(V);
-    else if (A == "--seed" && Value(V))
-      O.Seed = uint64_t(V);
-    else if (A == "--threads" && Value(V))
-      O.Threads = int(V);
-    else if (A == "--deadline-ms" && Value(V))
-      O.DeadlineMs = V;
-    else if (A == "--max-tokens" && Value(V))
-      O.MaxTokens = V;
-    else if (A == "--queue" && Value(V))
-      O.Queue = size_t(std::max<int64_t>(V, 1));
+    bool ValueOk = true;
+    if (A == "--sample")
+      ValueOk = parseIntegerFlag(Args, I, O.Sample, 0);
+    else if (A == "--seed")
+      ValueOk = parseIntegerFlag(Args, I, O.Seed);
+    else if (A == "--threads")
+      ValueOk = parseIntegerFlag(Args, I, O.Threads, 0);
+    else if (A == "--deadline-ms")
+      ValueOk = parseIntegerFlag(Args, I, O.DeadlineMs, 0);
+    else if (A == "--max-tokens")
+      ValueOk = parseIntegerFlag(Args, I, O.MaxTokens, 0);
+    else if (A == "--queue")
+      ValueOk = parseIntegerFlag(Args, I, O.Queue, 1);
     else if (A == "--start" && I + 1 < Args.size())
       O.StartRule = Args[++I];
-    else if (A == "--backend" && I + 1 < Args.size()) {
-      const AnalysisBackend *B = findAnalysisBackend(Args[++I]);
-      if (!B) {
-        std::fprintf(stderr, "error: unknown backend '%s' (valid: %s)\n",
-                     Args[I].c_str(), analysisBackendNames());
-        return 2;
-      }
-      O.Backend = B->kind();
-    }
     else if (A == "--trees")
       O.Trees = true;
     else if (A == "--recover")
@@ -313,6 +293,11 @@ int main(int Argc, char **Argv) {
       O.GrammarArg = A;
     else
       O.InputOperands.push_back(A);
+    if (!ValueOk) {
+      std::fprintf(stderr, "error: %s needs an integer value in range\n",
+                   A.c_str());
+      return usage();
+    }
   }
   if (O.GrammarArg.empty())
     return usage();
@@ -338,7 +323,7 @@ int main(int Argc, char **Argv) {
     std::sort(GrammarPaths.begin(), GrammarPaths.end());
     for (const std::string &Path : GrammarPaths) {
       DiagnosticEngine Diags;
-      auto Bundle = Cache.getFile(Path, Diags, O.Backend);
+      auto Bundle = Cache.getFile(Path, Diags);
       if (!Bundle) {
         std::fprintf(stderr, "error: failed to load %s\n%s", Path.c_str(),
                      Diags.str().c_str());
@@ -348,7 +333,7 @@ int main(int Argc, char **Argv) {
     }
   } else {
     DiagnosticEngine Diags;
-    auto Bundle = Cache.getFile(O.GrammarArg, Diags, O.Backend);
+    auto Bundle = Cache.getFile(O.GrammarArg, Diags);
     if (!Bundle) {
       std::fprintf(stderr, "error: failed to load %s\n%s",
                    O.GrammarArg.c_str(), Diags.str().c_str());

@@ -602,75 +602,63 @@ int main(int Argc, char **Argv) {
 
   std::vector<std::string> Args(Argv + 1, Argv + Argc);
   for (size_t I = 0; I < Args.size(); ++I) {
+    const std::string &A = Args[I];
     auto Next = [&]() -> const char * {
       return I + 1 < Args.size() ? Args[++I].c_str() : nullptr;
     };
-    if (Args[I] == "--seed") {
-      const char *V = Next();
-      if (!V)
-        return usage();
-      Config.Seed = std::strtoull(V, nullptr, 10);
-    } else if (Args[I] == "--iters") {
-      const char *V = Next();
-      if (!V)
-        return usage();
-      Config.Iterations = std::atoi(V);
-    } else if (Args[I] == "--sentences") {
-      const char *V = Next();
-      if (!V)
-        return usage();
-      Config.SentencesPerGrammar = std::atoi(V);
-    } else if (Args[I] == "--mutations") {
-      const char *V = Next();
-      if (!V)
-        return usage();
-      Config.MutationsPerSentence = std::atoi(V);
-    } else if (Args[I] == "--max-rules") {
-      const char *V = Next();
-      if (!V)
-        return usage();
-      Config.Envelope.MaxRules = std::atoi(V);
-    } else if (Args[I] == "--no-minimize") {
+    bool ValueOk = true;
+    if (A == "--seed") {
+      ValueOk = parseIntegerFlag(Args, I, Config.Seed);
+    } else if (A == "--iters") {
+      ValueOk = parseIntegerFlag(Args, I, Config.Iterations, 0);
+    } else if (A == "--sentences") {
+      ValueOk = parseIntegerFlag(Args, I, Config.SentencesPerGrammar, 0);
+    } else if (A == "--mutations") {
+      ValueOk = parseIntegerFlag(Args, I, Config.MutationsPerSentence, 0);
+    } else if (A == "--max-rules") {
+      ValueOk = parseIntegerFlag(Args, I, Config.Envelope.MaxRules, 0);
+    } else if (A == "--no-minimize") {
       Config.Minimize = false;
-    } else if (Args[I] == "--no-grammar-checks") {
+    } else if (A == "--no-grammar-checks") {
       Config.CheckGrammarLevel = false;
-    } else if (Args[I] == "--no-leftrec") {
+    } else if (A == "--no-leftrec") {
       Config.Envelope.LeftRecursion = false;
-    } else if (Args[I] == "--no-preds") {
+    } else if (A == "--no-preds") {
       Config.Envelope.SynPreds = Config.Envelope.SemPreds = false;
-    } else if (Args[I] == "--no-blocks") {
+    } else if (A == "--no-blocks") {
       Config.Envelope.EbnfBlocks = false;
-    } else if (Args[I] == "--dump-dir") {
+    } else if (A == "--dump-dir") {
       const char *V = Next();
       if (!V)
         return usage();
       DumpDir = V;
-    } else if (Args[I] == "--emit-corpus") {
+    } else if (A == "--emit-corpus") {
       const char *D = Next();
-      const char *C = Next();
-      if (!D || !C)
+      if (!D)
         return usage();
       CorpusDir = D;
-      CorpusCount = std::atoi(C);
-    } else if (Args[I] == "--lint-smoke") {
+      ValueOk = parseIntegerFlag(Args, I, CorpusCount, 0);
+    } else if (A == "--lint-smoke") {
       LintSmoke = true;
-    } else if (Args[I] == "--recover-smoke") {
+    } else if (A == "--recover-smoke") {
       RecoverSmoke = true;
-    } else if (Args[I] == "--edit-smoke") {
+    } else if (A == "--edit-smoke") {
       EditSmoke = true;
-    } else if (Args[I] == "--corpus") {
+    } else if (A == "--corpus") {
       const char *V = Next();
       if (!V)
         return usage();
       EditCorpusDir = V;
-    } else if (Args[I] == "--edits") {
-      const char *V = Next();
-      if (!V)
-        return usage();
-      EditsPerSession = std::atoi(V);
-    } else if (Args[I] == "--quiet") {
+    } else if (A == "--edits") {
+      ValueOk = parseIntegerFlag(Args, I, EditsPerSession, 0);
+    } else if (A == "--quiet") {
       Quiet = true;
     } else {
+      return usage();
+    }
+    if (!ValueOk) {
+      std::fprintf(stderr, "error: %s needs an integer value in range\n",
+                   A.c_str());
       return usage();
     }
   }

@@ -21,6 +21,7 @@
 #include "net/Daemon.h"
 #include "net/LlstarClient.h"
 #include "support/Json.h"
+#include "support/StringUtils.h"
 
 #include <algorithm>
 #include <chrono>
@@ -142,8 +143,7 @@ bool writeStatsProfile(const std::string &Path, const GrammarBundle &Bundle,
   std::vector<DecisionKey> Keys = Bundle.analyzed().decisionKeys();
   std::string Json = "{\"llstarProfile\":1,\"grammar\":\"" + Bundle.name() +
                      "\",\"stats\":" +
-                     S.json(/*IncludeDecisions=*/true, &Keys,
-                            Bundle.analyzed().backendName()) +
+                     S.json(/*IncludeDecisions=*/true, &Keys) +
                      "}";
   if (Path == "-") {
     std::printf("%s\n", Json.c_str());
@@ -298,37 +298,31 @@ int main(int Argc, char **Argv) {
 
   for (size_t I = 0; I < Args.size(); ++I) {
     const std::string &A = Args[I];
-    auto Value = [&](int64_t &Out) {
-      if (I + 1 >= Args.size())
-        return false;
-      Out = std::atoll(Args[++I].c_str());
-      return true;
-    };
-    int64_t V;
+    bool ValueOk = true;
     if (A == "--spawn")
       O.Spawn = true;
     else if (A == "--host" && I + 1 < Args.size())
       O.Host = Args[++I];
-    else if (A == "--port" && Value(V))
-      O.Port = int(V);
-    else if (A == "--requests" && Value(V))
-      O.Requests = std::max<int64_t>(V, 1);
-    else if (A == "--connections" && Value(V))
-      O.Connections = int(std::max<int64_t>(V, 1));
-    else if (A == "--pipeline" && Value(V))
-      O.Pipeline = int(std::max<int64_t>(V, 1));
-    else if (A == "--seed" && Value(V))
-      O.Seed = uint64_t(V);
+    else if (A == "--port")
+      ValueOk = parseIntegerFlag(Args, I, O.Port, 0, 65535);
+    else if (A == "--requests")
+      ValueOk = parseIntegerFlag(Args, I, O.Requests, 1);
+    else if (A == "--connections")
+      ValueOk = parseIntegerFlag(Args, I, O.Connections, 1);
+    else if (A == "--pipeline")
+      ValueOk = parseIntegerFlag(Args, I, O.Pipeline, 1);
+    else if (A == "--seed")
+      ValueOk = parseIntegerFlag(Args, I, O.Seed);
     else if (A == "--recover")
       O.Recover = true;
     else if (A == "--trees")
       O.Trees = true;
-    else if (A == "--threads" && Value(V))
-      O.Threads = int(V);
+    else if (A == "--threads")
+      ValueOk = parseIntegerFlag(Args, I, O.Threads, 0);
     else if (A == "--compiled")
       O.UseCompiled = true;
-    else if (A == "--edit-mix" && Value(V))
-      O.EditMix = int(std::clamp<int64_t>(V, 0, 100));
+    else if (A == "--edit-mix")
+      ValueOk = parseIntegerFlag(Args, I, O.EditMix, 0, 100);
     else if (A == "--json" && I + 1 < Args.size())
       O.JsonPath = Args[++I];
     else if (A == "--stats-out" && I + 1 < Args.size())
@@ -339,6 +333,11 @@ int main(int Argc, char **Argv) {
       O.GrammarPath = A;
     else
       return usage();
+    if (!ValueOk) {
+      std::fprintf(stderr, "error: %s needs an integer value in range\n",
+                   A.c_str());
+      return usage();
+    }
   }
   if (O.GrammarPath.empty() || (!O.Spawn && O.Port == 0))
     return usage();

@@ -15,8 +15,8 @@
 
 #include "CompiledManifest.h"
 #include "net/Daemon.h"
+#include "support/StringUtils.h"
 
-#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -44,9 +44,6 @@ int usage() {
       "  --max-tokens N    reject inputs longer than N tokens\n"
       "  --max-inflight N  per-connection pipeline cap (default 256)\n"
       "  --compiled        parse with the compiled fast path\n"
-      "  --backend NAME    prediction-analysis backend for .g grammars\n"
-      "                    (llstar or llfinite; default llstar — .llb\n"
-      "                    bundles carry their backend in the header)\n"
       "  --once-drained    exit once a client sends the Drain opcode\n");
   return 2;
 }
@@ -83,45 +80,39 @@ int main(int Argc, char **Argv) {
 
   for (size_t I = 0; I < Args.size(); ++I) {
     const std::string &A = Args[I];
-    auto Value = [&](int64_t &Out) {
-      if (I + 1 >= Args.size())
-        return false;
-      Out = std::atoll(Args[++I].c_str());
-      return true;
-    };
-    int64_t V;
+    bool ValueOk = true;
+    int64_t DeadlineMs = 0;
     if (A == "--bind" && I + 1 < Args.size())
       Config.BindAddress = Args[++I];
-    else if (A == "--port" && Value(V))
-      Config.Port = uint16_t(V);
+    else if (A == "--port")
+      ValueOk = parseIntegerFlag(Args, I, Config.Port);
     else if (A == "--port-file" && I + 1 < Args.size())
       PortFile = Args[++I];
-    else if (A == "--threads" && Value(V))
-      Config.Service.Threads = int(V);
-    else if (A == "--queue" && Value(V))
-      Config.Service.QueueCapacity = size_t(std::max<int64_t>(V, 1));
-    else if (A == "--deadline-ms" && Value(V))
-      Config.Service.DefaultDeadline = std::chrono::milliseconds(V);
-    else if (A == "--max-tokens" && Value(V))
-      Config.Service.MaxTokens = V;
-    else if (A == "--max-inflight" && Value(V))
-      Config.MaxInFlightPerConn = size_t(std::max<int64_t>(V, 1));
+    else if (A == "--threads")
+      ValueOk = parseIntegerFlag(Args, I, Config.Service.Threads, 0);
+    else if (A == "--queue")
+      ValueOk = parseIntegerFlag(Args, I, Config.Service.QueueCapacity, 1);
+    else if (A == "--deadline-ms") {
+      ValueOk = parseIntegerFlag(Args, I, DeadlineMs, 0);
+      if (ValueOk)
+        Config.Service.DefaultDeadline = std::chrono::milliseconds(DeadlineMs);
+    } else if (A == "--max-tokens")
+      ValueOk = parseIntegerFlag(Args, I, Config.Service.MaxTokens, 0);
+    else if (A == "--max-inflight")
+      ValueOk = parseIntegerFlag(Args, I, Config.MaxInFlightPerConn, 1);
     else if (A == "--compiled")
       Config.Service.UseCompiled = true;
-    else if (A == "--backend" && I + 1 < Args.size()) {
-      const AnalysisBackend *B = findAnalysisBackend(Args[++I]);
-      if (!B) {
-        std::fprintf(stderr, "error: unknown backend '%s' (valid: %s)\n",
-                     Args[I].c_str(), analysisBackendNames());
-        return 2;
-      }
-      Config.Backend = B->kind();
-    } else if (A == "--once-drained")
+    else if (A == "--once-drained")
       OnceDrained = true;
     else if (!A.empty() && A[0] == '-')
       return usage();
     else
       GrammarPaths.push_back(A);
+    if (!ValueOk) {
+      std::fprintf(stderr, "error: %s needs an integer value in range\n",
+                   A.c_str());
+      return usage();
+    }
   }
 
   if (Config.Service.UseCompiled)
