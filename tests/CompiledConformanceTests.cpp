@@ -9,7 +9,8 @@
 //     same sampled sentences + mutants FuzzRegressionTests replays),
 //     with and without error recovery,
 //   - against the recovery golden snapshots of the shipped grammars
-//     (tests/golden/recovery/*.txt), heap and arena trees both,
+//     (tests/golden/recovery/*.txt trees, heap and arena both, and
+//     *.diag diagnostics text plus repair counters),
 //   - through the checked-in compiled modules: every shipped grammar must
 //     hash-match its registered module (stale modules fail here *and* in
 //     the CI regen-diff gate), the module lexer must tokenize identically
@@ -86,6 +87,7 @@ struct Capture {
   std::string ArenaTree;
   size_t HeapErrorNodes = 0;
   std::string StatsJson; ///< full per-decision stats, serialized
+  std::string DiagSnapshot; ///< diagnostics + repair counters (.diag form)
 };
 
 ParserOptions baseOptions(const AnalyzedGrammar &AG, bool Recover) {
@@ -107,6 +109,7 @@ Capture runInterpreted(const AnalyzedGrammar &AG, const std::string &Input,
     C.DeadlineHit = P.deadlineExpired();
     C.DiagText = Diags.str();
     C.StatsJson = P.stats().json(/*IncludeDecisions=*/true);
+    C.DiagSnapshot = recoveryDiagSnapshot(C.DiagText, P.stats());
     if (Tree) {
       C.HeapTree = Tree->str(AG.grammar());
       C.HeapErrorNodes = Tree->numErrorNodes();
@@ -149,6 +152,7 @@ Capture runCompiled(const AnalyzedGrammar &AG,
     C.DeadlineHit = P.deadlineExpired();
     C.DiagText = Diags.str();
     C.StatsJson = P.stats().json(/*IncludeDecisions=*/true);
+    C.DiagSnapshot = recoveryDiagSnapshot(C.DiagText, P.stats());
     if (Tree) {
       C.HeapTree = Tree->str(AG.grammar());
       C.HeapErrorNodes = Tree->numErrorNodes();
@@ -268,6 +272,12 @@ TEST(CompiledConformance, GoldenRecoveredTreesMatchSnapshots) {
     ASSERT_FALSE(Expected.empty());
     EXPECT_EQ(std::string(C.Input) + "\n" + Cmp.HeapTree + "\n", Expected)
         << "compiled recovery diverges from the committed golden snapshot";
+    std::string ExpectedDiag =
+        slurp(std::filesystem::path(LLSTAR_SOURCE_DIR) / "tests" / "golden" /
+              "recovery" / (std::string(C.Grammar) + ".diag"));
+    ASSERT_FALSE(ExpectedDiag.empty());
+    EXPECT_EQ(Cmp.DiagSnapshot, ExpectedDiag)
+        << "compiled diagnostics diverge from the committed golden snapshot";
 
     Capture Int = runInterpreted(*AG, C.Input, /*Recover=*/true);
     expectIdentical(Int, Cmp, C.Grammar);

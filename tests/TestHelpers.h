@@ -97,6 +97,16 @@ inline int32_t predictSeq(const AnalyzedGrammar &AG, int32_t Decision,
   }
 }
 
+/// The recovery outcome pinned by `tests/golden/recovery/<g>.diag`: the
+/// rendered diagnostics followed by the repair counters, one per line.
+inline std::string recoveryDiagSnapshot(const std::string &DiagText,
+                                        const ParserStats &S) {
+  return DiagText + "SyntaxErrors " + std::to_string(S.SyntaxErrors) +
+         "\nTokensDeleted " + std::to_string(S.TokensDeleted) +
+         "\nTokensInserted " + std::to_string(S.TokensInserted) +
+         "\nPanicSyncs " + std::to_string(S.PanicSyncs) + "\n";
+}
+
 /// Parses \p Input from \p StartRule; returns the tree string, or
 /// "ERROR: <diags>" when the parse failed.
 inline std::string parseToString(const AnalyzedGrammar &AG,
