@@ -43,22 +43,12 @@
 namespace llstar {
 
 class AnalyzedGrammar;
-class ArenaParseTree;
-class ParseTree;
+struct NodeRef; // runtime/ParserCore.h
 struct Token;
 
 namespace compiled {
 
 class CompiledParser;
-
-/// A parse-tree attachment point, valid for whichever tree representation
-/// the parse was configured with (heap nodes, arena nodes, or neither when
-/// tree building is off or the parser is speculating).
-struct NodeRef {
-  ParseTree *Heap = nullptr;
-  ArenaParseTree *InArena = nullptr;
-  explicit operator bool() const { return Heap || InArena; }
-};
 
 /// Signature of a generated rule body: runs rule's ATN submachine from its
 /// start state to its stop state against \p P, attaching children to

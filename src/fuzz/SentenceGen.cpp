@@ -2,6 +2,7 @@
 
 #include "fuzz/SentenceSampler.h"
 #include "lexer/Lexer.h"
+#include "runtime/ParserCore.h"
 
 #include <deque>
 #include <unordered_set>
@@ -14,14 +15,6 @@ namespace {
 constexpr int64_t Inf = int64_t(1) << 30;
 constexpr int MaxSteps = 100000;
 constexpr size_t MaxSentenceTokens = 512;
-
-/// Smallest user-defined token type a Set transition admits.
-TokenType firstUserTokenIn(const IntervalSet &S) {
-  for (const Interval &I : S.intervals())
-    if (I.Hi >= TokenMinUserType)
-      return std::max(I.Lo, TokenMinUserType);
-  return TokenInvalid;
-}
 
 /// A readable character from \p Set: prefer 'x', then lowercase letters,
 /// then digits, then any printable ASCII, then the set minimum.
@@ -258,7 +251,7 @@ bool SentenceGen::walk(int32_t Decision, int32_t Alt,
       P = T.Target;
       break;
     case AtnTransitionKind::Set: {
-      TokenType Picked = firstUserTokenIn(T.Labels);
+      TokenType Picked = firstUserToken(T.Labels);
       Out.push_back(tokenText(Picked));
       Types.push_back(Picked);
       P = T.Target;

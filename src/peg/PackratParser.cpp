@@ -57,7 +57,7 @@ bool PackratParser::parseRule(int32_t RuleIndex, ParseTree *Parent) {
     return false;
 
   int64_t Start = Stream.index();
-  uint64_t Key = memoKey(RuleIndex, Start);
+  uint64_t Key = packratKey(RuleIndex, Start);
   if (Opts.Memoize) {
     auto It = Memo.find(Key);
     if (It != Memo.end()) {

@@ -94,7 +94,7 @@ private:
       Stats.TokensTouched = Stream.index() + 1;
   }
 
-  static uint64_t memoKey(int32_t Rule, int64_t Start) {
+  static uint64_t packratKey(int32_t Rule, int64_t Start) {
     return (uint64_t(uint32_t(Rule)) << 40) ^ uint64_t(Start);
   }
 

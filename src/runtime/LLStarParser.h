@@ -18,67 +18,26 @@
 /// nested backtracking (Section 6.2). Prediction errors are reported at the
 /// deepest token the DFA reached (Section 4.4).
 ///
+/// This file holds only the interpreter's walks (ATN states and
+/// \ref LookaheadDfa edge lists); the rule frame, memo, tree building,
+/// predicates, diagnostics and recovery are \ref ParserCore's, shared with
+/// the compiled engine. The interpreter stays the conformance reference
+/// for the compiled walk.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LLSTAR_RUNTIME_LLSTARPARSER_H
 #define LLSTAR_RUNTIME_LLSTARPARSER_H
 
-#include "analysis/AnalyzedGrammar.h"
-#include "lexer/TokenStream.h"
-#include "recover/ErrorStrategy.h"
-#include "runtime/Arena.h"
-#include "runtime/ArenaParseTree.h"
-#include "runtime/ParseTree.h"
-#include "runtime/ParserStats.h"
-#include "runtime/ReuseHooks.h"
-#include "runtime/SemanticEnv.h"
-#include "support/Diagnostics.h"
+#include "runtime/ParserCore.h"
 
-#include <chrono>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
 
 namespace llstar {
 
-/// Runtime knobs for one parser instance.
-struct ParserOptions {
-  /// Memoize speculative sub-parses. Defaults to the grammar's `memoize`
-  /// option; flip to measure the packrat ablation of Section 6.2.
-  bool Memoize = true;
-  /// Build a concrete parse tree during non-speculative parsing.
-  bool BuildTree = true;
-  /// Collect per-decision statistics (Tables 3-4).
-  bool CollectStats = true;
-  /// Recover from syntax errors instead of failing fast: single-token
-  /// deletion and insertion at mismatched tokens (consulting \ref Strategy)
-  /// and follow-set synchronization after unrecoverable failures. Recovered
-  /// regions appear in the parse tree as error leaves (\ref ErrorNodeKind);
-  /// \ref LLStarParser::ok still reports false when any error was reported.
-  bool Recover = true;
-  /// Repair policy consulted at mismatched tokens. Null uses the built-in
-  /// default (\ref ErrorStrategy base behavior). Not owned; must be safe
-  /// for concurrent use if the parser instances sharing it are.
-  ErrorStrategy *Strategy = nullptr;
-  /// When non-null, parse trees are built as \ref ArenaParseTree nodes
-  /// carved from this arena instead of heap ParseTree nodes. parse() then
-  /// returns null; fetch the root with \ref LLStarParser::arenaTree. The
-  /// arena and the token stream must outlive any use of the tree.
-  Arena *TreeArena = nullptr;
-  /// Absolute deadline for the parse; max() means none. Checked at decision
-  /// entries and periodically along the state walk. On expiry the parse
-  /// aborts with a "parse deadline exceeded" error diagnostic.
-  std::chrono::steady_clock::time_point Deadline =
-      std::chrono::steady_clock::time_point::max();
-  /// Incremental-reparse instrumentation (see runtime/ReuseHooks.h). Both
-  /// engines honor it identically. Not owned; must outlive the parse.
-  ReuseHooks *Hooks = nullptr;
-};
-
 /// An interpreting LL(*) parser for one analyzed grammar.
-class LLStarParser {
+class LLStarParser : public ParserCore {
 public:
   /// \p Env may be null when the grammar has no predicates or actions.
   LLStarParser(const AnalyzedGrammar &AG, TokenStream &Stream,
@@ -93,145 +52,24 @@ public:
   /// is null and the root is available via \ref arenaTree.
   std::unique_ptr<ParseTree> parse(const std::string &RuleName = "");
 
-  /// True if the last parse() completed without syntax errors.
-  bool ok() const { return LastParseOk; }
-
-  /// Root of the last arena-mode parse (null in heap mode). Valid until
-  /// the arena passed in ParserOptions::TreeArena is reset.
-  const ArenaParseTree *arenaTree() const { return ArenaRoot; }
-
-  /// True if the last parse() aborted because its deadline expired.
-  bool deadlineExpired() const { return DeadlineHit; }
-
-  const ParserStats &stats() const { return Stats; }
-  ParserStats &stats() { return Stats; }
-
 private:
-  /// Parent slot for tree building: exactly one pointer is set, matching
-  /// the allocation mode (heap ParseTree vs ArenaParseTree). Both null
-  /// while speculating or when tree building is off.
-  struct NodeRef {
-    ParseTree *Heap = nullptr;
-    ArenaParseTree *InArena = nullptr;
-    explicit operator bool() const { return Heap || InArena; }
-  };
+  friend class ParserCore;
 
-  // Core interpretation -----------------------------------------------------
-
-  /// Parses one rule invocation. \p Precedence is the argument for
-  /// precedence-rewritten rules (0 = unconstrained). Returns success.
-  bool runRule(int32_t RuleIndex, int32_t Precedence, NodeRef Parent);
-
+  /// Runs rule \p RuleIndex's body: its ATN submachine, start to stop.
+  bool runBody(int32_t RuleIndex, NodeRef Node) {
+    return runStates(M.ruleStart(RuleIndex), M.ruleStop(RuleIndex), Node);
+  }
   /// Walks ATN states from \p From until reaching \p Until.
   bool runStates(int32_t From, int32_t Until, NodeRef Parent);
-
-  /// Appends a rule node / the upcoming token to \p Parent in whichever
-  /// allocation mode is active.
-  NodeRef addRuleChild(NodeRef Parent, int32_t RuleIndex);
-  void addTokenChild(NodeRef Parent);
-  /// Error-leaf variants: the upcoming token as a Skipped leaf, a conjured
-  /// \p Missing token, or a zero-width marker.
-  void addErrorTokenChild(NodeRef Parent);
-  void addMissingTokenChild(NodeRef Parent, TokenType Missing);
-  void addMarkerChild(NodeRef Parent);
-
-  /// Periodic deadline poll; returns false (once per parse reporting the
-  /// error) after ParserOptions::Deadline passes.
-  bool deadlineOk();
 
   /// One prediction event at \p Decision; returns the 1-based alternative
   /// or -1 on a no-viable-alternative error.
   int32_t adaptivePredict(int32_t Decision);
 
-  // Predicates and speculation ----------------------------------------------
-
   bool evalSemanticContext(const SemanticContext &Pred);
-  bool evalNamedPredicate(int32_t PredIndex);
-  bool evalSynPredRule(int32_t FragmentRule);
   bool evalSynPredAlt(int32_t Decision, int32_t Alt);
-  void runAction(int32_t ActionIndex);
 
-  bool speculating() const { return SpecDepth > 0; }
-
-  // Error handling and recovery ---------------------------------------------
-
-  void reportMismatch(TokenType Expected);
-  void reportNoViableAlt(int32_t Decision, int64_t DepthReached);
-
-  /// Recovery is active only for real (non-speculative) parsing.
-  bool canRecover() const {
-    return Opts.Recover && !speculating() && !DeadlineHit;
-  }
-  ErrorStrategy &strategy() {
-    return Opts.Strategy ? *Opts.Strategy : DefaultStrategy;
-  }
-
-  /// Terminals that can follow a single conjured token at \p State: the
-  /// static follow set of \p State, chained through the dynamic invocation
-  /// stack while rule ends are reachable (plus EOF if the whole stack is).
-  IntervalSet viableAfter(int32_t State) const;
-  /// The panic-mode synchronization set: the union of the follow sets at
-  /// every return site on the dynamic invocation stack, plus EOF.
-  IntervalSet recoverySet() const;
-
-  /// Consumes the offending token as a Skipped error leaf.
-  void skipTokenAsError(NodeRef Parent);
-  /// Sync-and-return after a failed rule body: consumes to \ref recoverySet
-  /// as error leaves under \p Node (a zero-width marker when nothing is
-  /// consumed), with a force-consume of one token when no progress was made
-  /// since the previous sync (termination guard).
-  void syncAfterRuleFailure(NodeRef Node);
-  /// Panic recovery at a failed prediction: consumes tokens that neither
-  /// the decision nor the invocation stack can accept. Returns true when
-  /// the decision is worth retrying (progress was made and the next token
-  /// is matchable here).
-  bool recoverAtDecision(int32_t State, NodeRef Parent);
-
-  // Memoization (speculative rule parses only) -------------------------------
-
-  /// Packed memo key for (rule, precedence, start index).
-  static uint64_t memoKey(int32_t Rule, int32_t Precedence, int64_t Start) {
-    return (uint64_t(uint32_t(Rule)) << 40) ^
-           (uint64_t(uint32_t(Precedence)) << 56) ^ uint64_t(Start);
-  }
-
-  const AnalyzedGrammar &AG;
   const Atn &M;
-  TokenStream &Stream;
-  SemanticEnv *Env;
-  DiagnosticEngine &Diags;
-  ParserOptions Opts;
-  ParserStats Stats;
-
-  /// Built-in repair policy used when ParserOptions::Strategy is null.
-  ErrorStrategy DefaultStrategy;
-  /// Follow states of the active rule invocations (innermost last); the
-  /// dynamic counterpart of the paper's rule-invocation stack, consulted by
-  /// \ref viableAfter and \ref recoverySet.
-  std::vector<int32_t> FollowStack;
-  /// Stream index of the previous sync-and-return; failing again there
-  /// forces one token of progress.
-  int64_t LastErrorIndex = -1;
-  /// Conjured tokens since the last real consume; caps runaway insertion.
-  int32_t InsertionsSinceConsume = 0;
-
-  int32_t SpecDepth = 0;
-  /// Highest stream index touched during the current speculation cascade;
-  /// feeds the "backtracking lookahead depth" statistic.
-  int64_t SpecMaxIndex = 0;
-  /// Precedence arguments of active precedence-rule invocations.
-  std::vector<int32_t> PrecStack;
-  /// memoKey -> stop index (or -1 for remembered failure).
-  std::unordered_map<uint64_t, int64_t> Memo;
-  /// Predicate/action names already reported as unbound (warn once).
-  std::unordered_set<std::string> ReportedUnbound;
-  bool LastParseOk = false;
-  ArenaParseTree *ArenaRoot = nullptr;
-  bool DeadlineHit = false;
-  /// Countdown between clock reads so deadline polling stays off the
-  /// per-state fast path.
-  int32_t DeadlinePollCountdown = DeadlinePollInterval;
-  static constexpr int32_t DeadlinePollInterval = 256;
 };
 
 } // namespace llstar

@@ -71,7 +71,7 @@ int usage() {
       "  --no-reuse        edit-script mode: full reparse per edit (baseline)\n"
       "  --arena           edit-script mode: arena parse trees\n"
       "  --quiet           per-input lines off; summary only\n");
-  return 2;
+  return 3;
 }
 
 bool readFile(const std::string &Path, std::string &Out) {

@@ -15,8 +15,8 @@
 //               [--edit-smoke] [--corpus DIR] [--edits N] [--quiet]
 //
 // Exit status: 0 when every check passed, 1 on any oracle failure, 2 on
-// usage errors. Runs are deterministic: the same flags and seed replay
-// bit-identically.
+// errors (e.g. no loadable grammars under --corpus), 3 on usage errors.
+// Runs are deterministic: the same flags and seed replay bit-identically.
 //
 //===----------------------------------------------------------------------===//
 
@@ -83,7 +83,7 @@ int usage() {
       "                      instead of generating them\n"
       "  --edits N           edit-smoke: edits per session (default 8)\n"
       "  --quiet             suppress progress output\n");
-  return 2;
+  return 3;
 }
 
 bool writeFile(const std::string &Path, const std::string &Contents) {

@@ -65,7 +65,7 @@ int usage() {
       "                    decision-keyed profile consumable by\n"
       "                    `llstar lint --profile F` (assumes the daemon\n"
       "                    served only this grammar, as --spawn does)\n");
-  return 2;
+  return 3;
 }
 
 bool readFile(const std::string &Path, std::string &Out) {

@@ -45,7 +45,7 @@ int usage() {
       "  --max-inflight N  per-connection pipeline cap (default 256)\n"
       "  --compiled        parse with the compiled fast path\n"
       "  --once-drained    exit once a client sends the Drain opcode\n");
-  return 2;
+  return 3;
 }
 
 bool readFile(const std::string &Path, std::string &Out) {
