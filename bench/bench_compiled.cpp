@@ -28,6 +28,7 @@
 #include "lexer/TokenStream.h"
 #include "runtime/LLStarParser.h"
 
+#include "BenchHarness.h"
 #include "CompiledManifest.h"
 
 #include <chrono>
@@ -36,24 +37,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace llstar;
 
 namespace {
-
-std::string compilerName() {
-#if defined(__clang__)
-  return "clang " __clang_version__;
-#elif defined(__GNUC__)
-  return "gcc " + std::to_string(__GNUC__) + "." +
-         std::to_string(__GNUC_MINOR__) + "." +
-         std::to_string(__GNUC_PATCHLEVEL__);
-#else
-  return "unknown";
-#endif
-}
 
 double now() {
   return std::chrono::duration<double>(
@@ -329,12 +317,7 @@ int main(int Argc, char **Argv) {
   }
 
   if (!JsonPath.empty()) {
-    // Absolute throughput differs a lot between hosts; the stamp says
-    // which host (and build) these numbers came from.
-    std::string Out = "{\n  \"host\": {\"vcpus\": " +
-                      std::to_string(std::thread::hardware_concurrency()) +
-                      ", \"compiler\": \"" + compilerName() +
-                      "\", \"build\": \"" + LLSTAR_BUILD_TYPE + "\"},\n" +
+    std::string Out = "{\n  \"host\": " + bench::hostJson() + ",\n" +
                       "  \"units\": " + std::to_string(Units) +
                       ",\n  \"repeat\": " + std::to_string(Repeat) +
                       ",\n  \"grammars\": [\n";

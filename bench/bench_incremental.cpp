@@ -22,13 +22,15 @@
 //
 //   bench_incremental [--units N] [--edits N] [--repeat N] [--json FILE]
 //
-// BENCH_incremental.json at the repo root is a committed baseline.
+// BENCH_incremental.json at the repo root is a committed baseline, stamped
+// with the host and build it ran on.
 //
 //===----------------------------------------------------------------------===//
 
 #include "incremental/IncrementalSession.h"
 #include "service/GrammarBundleCache.h"
 
+#include "BenchHarness.h"
 #include "CompiledManifest.h"
 
 #include <cctype>
@@ -174,7 +176,6 @@ double replay(std::shared_ptr<const GrammarBundle> Bundle,
 
 int main(int Argc, char **Argv) {
   int Units = 400, NumEdits = 32, Repeat = 5;
-  bool UseArena = false;
   std::string JsonPath;
   for (int I = 1; I < Argc; ++I) {
     if (!std::strcmp(Argv[I], "--units") && I + 1 < Argc)
@@ -183,14 +184,12 @@ int main(int Argc, char **Argv) {
       NumEdits = std::atoi(Argv[++I]);
     else if (!std::strcmp(Argv[I], "--repeat") && I + 1 < Argc)
       Repeat = std::atoi(Argv[++I]);
-    else if (!std::strcmp(Argv[I], "--arena"))
-      UseArena = true;
     else if (!std::strcmp(Argv[I], "--json") && I + 1 < Argc)
       JsonPath = Argv[++I];
     else {
       std::fprintf(stderr,
                    "usage: bench_incremental [--units N] [--edits N] "
-                   "[--repeat N] [--arena] [--json FILE]\n");
+                   "[--repeat N] [--json FILE]\n");
       return 2;
     }
   }
@@ -230,7 +229,6 @@ int main(int Argc, char **Argv) {
       E.Engine = Compiled ? "compiled" : "interp";
       SessionOptions Full;
       Full.UseCompiled = Compiled;
-      Full.UseArena = UseArena;
       Full.Reuse = false;
       SessionOptions Inc = Full;
       Inc.Reuse = true;
@@ -248,7 +246,8 @@ int main(int Argc, char **Argv) {
   }
 
   if (!JsonPath.empty()) {
-    std::string Out = "{\n  \"units\": " + std::to_string(Units) +
+    std::string Out = "{\n  \"host\": " + bench::hostJson() +
+                      ",\n  \"units\": " + std::to_string(Units) +
                       ",\n  \"edits\": " + std::to_string(NumEdits) +
                       ",\n  \"repeat\": " + std::to_string(Repeat) +
                       ",\n  \"workloads\": [\n";

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
 using namespace llstar;
 using namespace llstar::bench;
@@ -11,6 +12,22 @@ int64_t llstar::bench::countLines(const std::string &Text) {
   for (char C : Text)
     N += C == '\n';
   return N;
+}
+
+std::string llstar::bench::hostJson() {
+#if defined(__clang__)
+  std::string Compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  std::string Compiler = "gcc " + std::to_string(__GNUC__) + "." +
+                         std::to_string(__GNUC_MINOR__) + "." +
+                         std::to_string(__GNUC_PATCHLEVEL__);
+#else
+  std::string Compiler = "unknown";
+#endif
+  return "{\"vcpus\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"compiler\": \"" + Compiler + "\", \"build\": \"" +
+         LLSTAR_BUILD_TYPE + "\"}";
 }
 
 PreparedGrammar PreparedGrammar::prepare(const BenchGrammar &Spec) {

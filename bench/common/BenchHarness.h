@@ -7,8 +7,8 @@
 /// \file
 /// Shared helpers for the benchmark binaries: analyze a benchmark grammar,
 /// bind its semantic environment (the C grammar's isTypeName predicate),
-/// lex a workload, run the LL(*) parser with statistics, and format table
-/// rows.
+/// lex a workload, run the LL(*) parser with statistics, format table
+/// rows, and stamp JSON reports with the host they ran on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,6 +54,12 @@ struct PreparedGrammar {
 
 /// Number of newline-terminated lines in \p Text.
 int64_t countLines(const std::string &Text);
+
+/// The host stamp committed BENCH_*.json files carry, as a JSON object:
+/// `{"vcpus": N, "compiler": "...", "build": "<CMAKE_BUILD_TYPE>"}`.
+/// Absolute numbers differ a lot between hosts and builds; the stamp says
+/// which ones a baseline came from.
+std::string hostJson();
 
 } // namespace bench
 } // namespace llstar

@@ -215,8 +215,7 @@ IncrementalLexer::Damage IncrementalLexer::relex(std::string_view NewText,
   // In-place fast path: an edit that kept every downstream byte, line,
   // column, lexeme, and token where it was (the overwhelmingly common
   // overtype) only needs the damaged window overwritten — no vector
-  // rebuild, no suffix rewrite, and downstream consumers learn via
-  // SuffixIdentical that reused suffix subtrees need no token fix-up.
+  // rebuild, no suffix rewrite.
   if (Resynced && Delta == 0 && LineDelta == 0 && ColDelta == 0 &&
       Fresh.size() == OldSuffix - First) {
     int64_t FreshEmitted = 0;
@@ -237,7 +236,6 @@ IncrementalLexer::Damage IncrementalLexer::relex(std::string_view NewText,
       rebase(NewText);
       D.NewInvalidHi = D.OldInvalidHi;
       D.TokenDelta = 0;
-      D.SuffixIdentical = true;
       return D;
     }
   }
@@ -304,8 +302,6 @@ IncrementalLexer::Damage IncrementalLexer::relex(std::string_view NewText,
   rebase(NewText, D.InvalidLo);
 
   D.TokenDelta = int64_t(Toks.size()) - OldTokCount;
-  D.SuffixIdentical = Resynced && Delta == 0 && LineDelta == 0 &&
-                      ColDelta == 0 && D.TokenDelta == 0;
   return D;
 }
 

@@ -83,11 +83,6 @@ public:
     int64_t NewInvalidHi = 0;
     int64_t TokenDelta = 0;  ///< new token count - old token count
     int64_t Relexed = 0;     ///< lexemes produced by the damage walk
-    /// True when the retained suffix tokens came through bit-identical:
-    /// no byte, token-count, line, or column shift. The common editor
-    /// case (overtyping a character) — reused suffix subtrees need no
-    /// token fix-up at all then.
-    bool SuffixIdentical = false;
   };
 
   /// Tokenizes \p Text from scratch, replacing all state. The tokens are

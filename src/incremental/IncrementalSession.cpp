@@ -22,10 +22,8 @@ ParserStats IncrementalSession::takeStatsDelta() {
 }
 
 std::string IncrementalSession::treeText() const {
-  if (HeapRoot)
-    return HeapRoot->str(Bundle->grammar());
-  if (ArenaRoot && Stream)
-    return ArenaRoot->str(Bundle->grammar(), *Stream);
+  if (Root && Stream)
+    return Root->str(Bundle->grammar(), *Stream);
   return "";
 }
 
@@ -94,24 +92,21 @@ EditOutcome IncrementalSession::parseCurrent(
   // The stream is a view over the master token vector — IncrementalLexer
   // splices that vector in place between parses, so copying it here would
   // put an O(tokens) tax on every edit. Nothing reads the previous stream
-  // during the parse (arena renderings happen between edits, against the
+  // during the parse (renderings happen between edits, against the
   // committed stream).
   auto NewStream =
       std::make_unique<TokenStream>(IncLex.tokens(), TokenStream::Borrow{});
 
-  Arena *BuildArena = nullptr;
-  if (Opts.UseArena)
-    BuildArena = LiveIsA ? &ArenaB : &ArenaA;
+  Arena *BuildArena = LiveIsA ? &ArenaB : &ArenaA;
 
   const bool UseHooks = Opts.Reuse;
   ReuseRecorder::Config RC;
-  if (Incremental && Opts.Reuse && (HeapRoot || ArenaRoot)) {
+  if (Incremental && Opts.Reuse && Root) {
     RC.Prev = &Record;
     RC.InvalidLo = D.InvalidLo;
     RC.OldInvalidHi = D.OldInvalidHi;
     RC.NewInvalidHi = D.NewInvalidHi;
     RC.TokenDelta = D.TokenDelta;
-    RC.SuffixIdentical = D.SuffixIdentical;
   }
   RC.NewTokens = &IncLex.tokens();
   RC.NewArena = BuildArena;
@@ -131,38 +126,34 @@ EditOutcome IncrementalSession::parseCurrent(
   }
 
   const AnalyzedGrammar &AG = Bundle->analyzed();
-  std::unique_ptr<ParseTree> NewHeapRoot;
-  const ArenaParseTree *NewArenaRoot = nullptr;
+  const ArenaParseTree *NewRoot = nullptr;
   ParserStats S;
   bool ParseOk;
   if (Opts.UseCompiled) {
     const compiled::CompiledResolution &CT = Bundle->compiledTables();
     compiled::CompiledParser P(AG, CT.View, *NewStream, /*Env=*/nullptr, Diags,
                                PO, CT.Native, CT.Rules);
-    NewHeapRoot = P.parse(Opts.StartRule);
-    NewArenaRoot = P.arenaTree();
+    P.parse(Opts.StartRule);
+    NewRoot = P.arenaTree();
     ParseOk = P.ok();
     S = P.stats();
   } else {
     LLStarParser P(AG, *NewStream, /*Env=*/nullptr, Diags, PO);
-    NewHeapRoot = P.parse(Opts.StartRule);
-    NewArenaRoot = P.arenaTree();
+    P.parse(Opts.StartRule);
+    NewRoot = P.arenaTree();
     ParseOk = P.ok();
     S = P.stats();
   }
 
   // Commit: the new tree replaces the old, the old arena is recycled.
-  HeapRoot = std::move(NewHeapRoot);
-  ArenaRoot = NewArenaRoot;
+  Root = NewRoot;
   Stream = std::move(NewStream);
   if (UseHooks)
     Record = Rec.take();
   else
     Record.clear();
-  if (Opts.UseArena) {
-    (LiveIsA ? ArenaA : ArenaB).reset();
-    LiveIsA = !LiveIsA;
-  }
+  (LiveIsA ? ArenaA : ArenaB).reset();
+  LiveIsA = !LiveIsA;
   LastOk = ParseOk;
 
   S.TokensRelexed = D.Relexed;
@@ -183,12 +174,9 @@ EditOutcome IncrementalSession::parseCurrent(
   O.NodesReused = S.NodesReused;
   O.TokensRelexed = S.TokensRelexed;
   O.DecisionsReparsed = S.DecisionsReparsed;
-  if (HeapRoot) {
-    O.TreeNodes = int64_t(HeapRoot->size());
-    O.ErrorLeaves = int64_t(HeapRoot->numErrorNodes());
-  } else if (ArenaRoot) {
-    O.TreeNodes = int64_t(ArenaRoot->size());
-    O.ErrorLeaves = int64_t(ArenaRoot->numErrorNodes());
+  if (Root) {
+    O.TreeNodes = int64_t(Root->size());
+    O.ErrorLeaves = int64_t(Root->numErrorNodes());
   }
   O.NumErrors = Diags.errorCount();
   return O;
@@ -207,30 +195,26 @@ ScratchResult llstar::incremental::scratchParse(const GrammarBundle &Bundle,
   PO.BuildTree = true;
   PO.CollectStats = true;
   PO.Recover = Opts.Recover;
-  if (Opts.UseArena)
-    PO.TreeArena = &A;
+  PO.TreeArena = &A;
 
   const AnalyzedGrammar &AG = Bundle.analyzed();
-  auto Finish = [&](auto &P, std::unique_ptr<ParseTree> Root) {
+  auto Finish = [&](auto &P) {
+    P.parse(Opts.StartRule);
     R.ParseOk = P.ok();
-    if (Root) {
-      R.TreeText = Root->str(AG.grammar());
+    if (const ArenaParseTree *Root = P.arenaTree()) {
+      R.TreeText = Root->str(AG.grammar(), Stream);
       R.TreeNodes = int64_t(Root->size());
       R.ErrorLeaves = int64_t(Root->numErrorNodes());
-    } else if (P.arenaTree()) {
-      R.TreeText = P.arenaTree()->str(AG.grammar(), Stream);
-      R.TreeNodes = int64_t(P.arenaTree()->size());
-      R.ErrorLeaves = int64_t(P.arenaTree()->numErrorNodes());
     }
   };
   if (Opts.UseCompiled) {
     const compiled::CompiledResolution &CT = Bundle.compiledTables();
     compiled::CompiledParser P(AG, CT.View, Stream, /*Env=*/nullptr, Diags, PO,
                                CT.Native, CT.Rules);
-    Finish(P, P.parse(Opts.StartRule));
+    Finish(P);
   } else {
     LLStarParser P(AG, Stream, /*Env=*/nullptr, Diags, PO);
-    Finish(P, P.parse(Opts.StartRule));
+    Finish(P);
   }
   R.DiagText = Diags.str();
   return R;

@@ -23,10 +23,10 @@
 /// ordinary reparsing of the affected region, degrading gracefully to a
 /// full reparse in the worst case.
 ///
-/// Sessions work in every engine/tree-mode combination: interpreted or
-/// compiled tables, heap or arena trees (arena sessions ping-pong two
-/// arenas so splices can copy out of the old tree while the new one is
-/// built), recovery on or off.
+/// Sessions work in every engine/recovery combination: interpreted or
+/// compiled tables, recovery on or off. The tree is always an arena tree;
+/// sessions ping-pong two arenas so splices can copy out of the old tree
+/// while the new one is built.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,7 +53,6 @@ namespace incremental {
 struct SessionOptions {
   bool Recover = true;     ///< error-recovering parses (error leaves etc.)
   bool UseCompiled = false; ///< dense-table engine instead of the interpreter
-  bool UseArena = false;   ///< arena parse trees instead of heap nodes
   bool Reuse = true;       ///< false: full relex + reparse per edit (the
                            ///< baseline the benchmarks compare against)
   std::string StartRule;   ///< empty = the grammar's first rule
@@ -119,12 +118,11 @@ private:
   SessionOptions Opts;
   std::string Text;
   IncrementalLexer IncLex;
-  /// Rebuilt per parse; outlives the tree for arena rendering.
+  /// Rebuilt per parse; outlives the tree for rendering.
   std::unique_ptr<TokenStream> Stream;
-  std::unique_ptr<ParseTree> HeapRoot;
-  const ArenaParseTree *ArenaRoot = nullptr;
-  /// Arena sessions ping-pong: the new tree is built in the spare arena
-  /// while splices copy subtrees out of the live one, then roles swap.
+  const ArenaParseTree *Root = nullptr;
+  /// Two arenas ping-pong: the new tree is built in the spare arena while
+  /// splices copy subtrees out of the live one, then roles swap.
   Arena ArenaA, ArenaB;
   bool LiveIsA = true;
   ParseRecord Record;
@@ -135,9 +133,9 @@ private:
 };
 
 /// The from-scratch oracle: tokenizes and parses \p Text exactly as the
-/// parse service would, with the same engine/tree/recovery configuration
-/// a session with \p Opts uses. The conformance tools compare a session
-/// against this after every edit.
+/// parse service would, into an arena tree, with the same engine/recovery
+/// configuration a session with \p Opts uses. The conformance tools
+/// compare a session against this after every edit.
 struct ScratchResult {
   bool ParseOk = false;
   /// Views into the \p Text passed to scratchParse: valid only while that

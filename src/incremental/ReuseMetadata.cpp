@@ -51,7 +51,7 @@ void ReuseRecorder::opaque() {
 }
 
 void ReuseRecorder::exitRule(int32_t Rule, int64_t NextIndex,
-                             ParseTree *HeapNode, ArenaParseTree *ArenaNode) {
+                             ArenaParseTree *Node) {
   if (Stack.empty())
     return;
   Frame F = Stack.back();
@@ -67,10 +67,10 @@ void ReuseRecorder::exitRule(int32_t Rule, int64_t NextIndex,
   }
   if (F.Opaque || NextIndex <= F.Start)
     return; // tainted, or consumed nothing — never worth splicing
-  if (!HeapNode && !ArenaNode)
+  if (!Node)
     return;
-  Metas.push_back({F.Rule, F.Prec, F.Start, NextIndex, F.Reach, F.MetasMark,
-                   HeapNode, ArenaNode});
+  Metas.push_back(
+      {F.Rule, F.Prec, F.Start, NextIndex, F.Reach, F.MetasMark, Node});
 }
 
 bool ReuseRecorder::tryReuse(int32_t Rule, int32_t Precedence,
@@ -120,29 +120,18 @@ bool ReuseRecorder::tryReuse(int32_t Rule, int32_t Precedence,
   }
 
   const size_t DstBase = Metas.size();
-  if (M.HeapNode && C.NewTokens) {
-    std::unique_ptr<ParseTree> Sub = stealHeap(M, Shift, BeforeDamage);
-    if (!Sub)
-      return false;
-    Out.Heap = std::move(Sub);
-    // The nodes moved wholesale, so carried metadata keeps its pointers.
-    carryRange(M.SubtreeBegin, MIdx, Shift);
-  } else if (M.ArenaNode && C.NewArena) {
-    CarryCur = M.SubtreeBegin;
-    CarryEnd = MIdx;
-    CarrySrcBegin = M.SubtreeBegin;
-    CarryDstBegin = DstBase;
-    ArenaParseTree *Copy = copyArena(*M.ArenaNode, Shift);
-    if (!Copy) {
-      // The aborted walk may have appended carried entries bound to nodes
-      // the discarded copy owns; drop them or they dangle.
-      Metas.resize(DstBase);
-      return false;
-    }
-    Out.InArena = Copy;
-  } else {
+  CarryCur = M.SubtreeBegin;
+  CarryEnd = MIdx;
+  CarrySrcBegin = M.SubtreeBegin;
+  CarryDstBegin = DstBase;
+  ArenaParseTree *Copy = copyArena(*M.ArenaNode, Shift);
+  if (!Copy) {
+    // The aborted walk may have appended carried entries bound to nodes
+    // the discarded copy owns; drop them or they dangle.
+    Metas.resize(DstBase);
     return false;
   }
+  Out.InArena = Copy;
   Out.NextIndex = M.Next + Shift;
 
   // The engine skips the child's body, so no exitRule will fold the
@@ -152,41 +141,6 @@ bool ReuseRecorder::tryReuse(int32_t Rule, int32_t Precedence,
   if (!Stack.empty())
     Stack.back().Reach = std::max(Stack.back().Reach, M.Reach + Shift);
   return true;
-}
-
-std::unique_ptr<ParseTree> ReuseRecorder::stealHeap(const NodeMeta &M,
-                                                    int64_t Shift,
-                                                    bool BeforeDamage) {
-  ParseTree *Node = M.HeapNode;
-  ParseTree *Par = Node->parent();
-  if (!Par)
-    return nullptr; // the old root itself; unreachable via engine probes
-  const bool Refresh = !BeforeDamage && !C.SuffixIdentical;
-  // Every leaf index of the subtree lies in [Start, Next), so one range
-  // check up front covers the whole refresh walk.
-  if (Refresh && (M.Start + Shift < 0 ||
-                  size_t(M.Next + Shift) > C.NewTokens->size()))
-    return nullptr;
-  std::unique_ptr<ParseTree> Sub = Par->releaseChild(Node->parentSlot());
-  if (!Sub)
-    return nullptr; // slot already emptied (defensive: stale metadata)
-  assert(Sub.get() == Node && "parent/slot links out of sync");
-  if (Refresh)
-    refreshLeafTokens(*Sub, Shift);
-  return Sub;
-}
-
-void ReuseRecorder::refreshLeafTokens(ParseTree &N, int64_t Shift) {
-  if (N.isToken()) {
-    // Recorded subtrees contain no error leaves: recovery reports opaque()
-    // before attaching one, poisoning every ancestor.
-    assert(!N.isError() && "error leaf inside a recorded subtree");
-    N.setToken((*C.NewTokens)[size_t(N.token().Index + Shift)]);
-    return;
-  }
-  for (size_t I = 0, E = N.numChildren(); I != E; ++I)
-    if (ParseTree *Ch = N.child(I))
-      refreshLeafTokens(*Ch, Shift);
 }
 
 ArenaParseTree *ReuseRecorder::copyArena(const ArenaParseTree &Old,
@@ -222,20 +176,6 @@ ArenaParseTree *ReuseRecorder::copyArena(const ArenaParseTree &Old,
     Metas.push_back(CM);
   }
   return N;
-}
-
-void ReuseRecorder::carryRange(uint32_t B, uint32_t E, int64_t Shift) {
-  // No per-call reserve: an exact reserve per splice would defeat the
-  // vector's geometric growth and quadratize the carry.
-  const size_t DstBase = Metas.size();
-  for (uint32_t I = B; I <= E; ++I) {
-    NodeMeta CM = C.Prev->Metas[I];
-    CM.Start += Shift;
-    CM.Next += Shift;
-    CM.Reach += Shift;
-    CM.SubtreeBegin = uint32_t(CM.SubtreeBegin - B + DstBase);
-    Metas.push_back(CM);
-  }
 }
 
 ParseRecord ReuseRecorder::take() {

@@ -27,24 +27,17 @@
 /// On the next parse, \ref ReuseRecorder::tryReuse maps the probe's new
 /// start index back to old token coordinates (identity before the damage,
 /// shifted by the token delta after it) and requires the recorded window
-/// to be disjoint from the damaged range. The splice itself is built for
-/// the editor loop's per-edit budget:
-///
-///  - Heap trees are *stolen*: the old tree is about to be discarded
-///    anyway, so the subtree is detached from its old parent (the slot is
-///    left empty) and adopted wholesale — no allocation, no walk. Only
-///    when the retained suffix actually shifted (byte, token, or position
-///    delta) are the subtree's leaf tokens refreshed from the new token
-///    vector, and only for suffix splices; prefix tokens never change.
-///  - Arena trees are copied into the new arena (the old arena is
-///    recycled after the parse, so its nodes cannot survive), which is a
-///    bump-allocation walk with no per-node bookkeeping.
+/// to be disjoint from the damaged range. The splice copies the recorded
+/// arena subtree into the arena the new tree is built in (the session
+/// recycles the old arena after the parse, so its nodes cannot survive):
+/// a bump-allocation walk with no per-node bookkeeping, whose token
+/// leaves hold only a stream index, re-based by the token delta.
 ///
 /// Metadata carries forward without any per-node map: exits append in
 /// post-order, so a node's subtree occupies the contiguous metadata range
-/// [SubtreeBegin, self] — splices carry that whole range, re-based, in
-/// one pass, which is what lets reuse keep compounding across edits at
-/// O(spliced metadata) instead of O(tree) cost.
+/// [SubtreeBegin, self] — the copy walk carries that whole range,
+/// re-based, in the same pass, which is what lets reuse keep compounding
+/// across edits at O(spliced metadata) instead of O(tree) cost.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,7 +47,6 @@
 #include "lexer/Token.h"
 #include "runtime/Arena.h"
 #include "runtime/ArenaParseTree.h"
-#include "runtime/ParseTree.h"
 #include "runtime/ReuseHooks.h"
 
 #include <cstdint>
@@ -80,7 +72,6 @@ struct NodeMeta {
   /// this node's subtree. Exits append post-order, so the subtree's
   /// entries are exactly Metas[SubtreeBegin .. self], self last.
   uint32_t SubtreeBegin = 0;
-  ParseTree *HeapNode = nullptr;
   const ArenaParseTree *ArenaNode = nullptr;
 };
 
@@ -141,14 +132,10 @@ public:
     int64_t OldInvalidHi = 0;
     int64_t NewInvalidHi = 0;
     int64_t TokenDelta = 0;
-    /// True when the retained suffix tokens are bit-identical to the old
-    /// ones (IncrementalLexer::Damage::SuffixIdentical): suffix steals
-    /// can then skip refreshing their leaf tokens entirely.
-    bool SuffixIdentical = false;
-    /// The new master token vector; heap-mode suffix splices refresh
-    /// their leaf tokens from here when the suffix shifted.
+    /// The new master token vector; bounds the re-based leaf indices of
+    /// splice copies.
     const std::vector<Token> *NewTokens = nullptr;
-    /// Arena receiving arena-mode splice copies (null in heap mode).
+    /// Arena receiving splice copies: the one the new tree is built in.
     Arena *NewArena = nullptr;
   };
 
@@ -158,8 +145,8 @@ public:
                 Splice &Out) override;
   void enterRule(int32_t Rule, int32_t Precedence,
                  int64_t StartIndex) override;
-  void exitRule(int32_t Rule, int64_t NextIndex, ParseTree *HeapNode,
-                ArenaParseTree *ArenaNode) override;
+  void exitRule(int32_t Rule, int64_t NextIndex,
+                ArenaParseTree *Node) override;
   void lookahead(int64_t MaxIndexInclusive) override;
   void opaque() override;
 
@@ -177,23 +164,14 @@ private:
     bool Opaque;
   };
 
-  /// Detaches the recorded heap subtree from the previous tree and
-  /// prepares it for adoption (refreshing leaf tokens if the suffix
-  /// shifted). Null on refusal; the old tree is left untouched then.
-  std::unique_ptr<ParseTree> stealHeap(const NodeMeta &M, int64_t Shift,
-                                       bool BeforeDamage);
-  /// Rewrites every token leaf from the new token vector, shifted.
-  void refreshLeafTokens(ParseTree &N, int64_t Shift);
+  /// Copies the recorded subtree into the new arena, leaf indices shifted
+  /// by \p Shift, and carries its metadata along. Null on refusal.
   ArenaParseTree *copyArena(const ArenaParseTree &Old, int64_t Shift);
-  /// Bulk-carries the previous record's metadata range [B, E] (a spliced
-  /// subtree, post-order) into Metas, re-based by \p Shift. Node pointers
-  /// are kept — heap steals move the nodes wholesale.
-  void carryRange(uint32_t B, uint32_t E, int64_t Shift);
 
   Config C;
   std::vector<Frame> Stack;
   std::vector<NodeMeta> Metas;
-  /// Cursor state for arena copies: the next previous-record entry of the
+  /// Cursor state for the copy walk: the next previous-record entry of the
   /// in-flight splice range. The copy walk and the range share one
   /// post-order, so binding carried metadata to fresh nodes is a pointer
   /// comparison per rule node instead of a map lookup.

@@ -579,7 +579,6 @@ void Daemon::handleEdit(const std::shared_ptr<Connection> &Conn,
     incremental::SessionOptions SO;
     SO.Recover = Args.Mode & EditModeRecover;
     SO.UseCompiled = Args.Mode & EditModeCompiled;
-    SO.UseArena = Args.Mode & EditModeArena;
     SO.Reuse = !(Args.Mode & EditModeNoReuse);
     SO.StartRule = Args.StartRule;
     auto Fresh = std::make_unique<incremental::IncrementalSession>(

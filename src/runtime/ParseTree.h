@@ -75,38 +75,10 @@ public:
   const Token &token() const { return Tok; }
   /// A token leaf's text as the node's own (null-terminated) string.
   const std::string &text() const { return OwnedText; }
-  /// Replaces a token leaf's payload; the incremental runtime refreshes
-  /// reused leaves this way when an edit shifted the retained suffix.
-  void setToken(const Token &T) {
-    assert(IsToken && "not a token leaf");
-    adopt(T);
-  }
-
-  /// The node owning this one, null for a root (or a detached subtree).
-  /// Links are maintained by addChild; child slots never move once the
-  /// parent's rule finished, which is what lets the incremental runtime
-  /// detach a recorded subtree in O(1).
-  ParseTree *parent() const { return Parent; }
-  /// This node's index in parent()->children().
-  uint32_t parentSlot() const { return Slot; }
 
   ParseTree *addChild(std::unique_ptr<ParseTree> Child) {
-    Child->Parent = this;
-    Child->Slot = uint32_t(Children.size());
     Children.push_back(std::move(Child));
     return Children.back().get();
-  }
-  /// Detaches child \p I, leaving an empty slot (null if already taken or
-  /// out of range). Only trees about to be discarded grow holes — the
-  /// incremental runtime steals subtrees out of the previous parse's tree
-  /// while building the replacement; renderings and counts skip holes.
-  std::unique_ptr<ParseTree> releaseChild(uint32_t I) {
-    if (I >= Children.size())
-      return nullptr;
-    std::unique_ptr<ParseTree> Out = std::move(Children[I]);
-    if (Out)
-      Out->Parent = nullptr;
-    return Out;
   }
   /// Drops children from index \p N on; speculative parsers roll back with
   /// this after a failed attempt.
@@ -128,8 +100,7 @@ public:
   size_t size() const {
     size_t N = 1;
     for (const auto &C : Children)
-      if (C)
-        N += C->size();
+      N += C->size();
     return N;
   }
 
@@ -140,8 +111,7 @@ public:
       return isError() ? 0 : 1;
     size_t N = 0;
     for (const auto &C : Children)
-      if (C)
-        N += C->numTokens();
+      N += C->numTokens();
     return N;
   }
 
@@ -149,36 +119,46 @@ public:
   size_t numErrorNodes() const {
     size_t N = isError() ? 1 : 0;
     for (const auto &C : Children)
-      if (C)
-        N += C->numErrorNodes();
+      N += C->numErrorNodes();
     return N;
   }
 
   /// LISP-style rendering: `(rule child1 child2)`, token leaves as text,
   /// error leaves as `(error <text>)` (`(error)` for zero-width markers).
   std::string str(const Grammar &G) const {
-    if (IsToken) {
-      if (ErrKind == ErrorNodeKind::None)
-        return OwnedText;
-      if (ErrKind == ErrorNodeKind::Marker)
-        return "(error)";
-      return "(error " + OwnedText + ")";
-    }
-    std::string Out = "(" + G.rule(RuleIdx).Name;
-    for (const auto &C : Children) {
-      if (!C)
-        continue;
-      Out += " ";
-      Out += C->str(G);
-    }
-    Out += ")";
+    std::string Out;
+    render(G, Out);
     return Out;
   }
 
 private:
+  /// Appends this subtree's rendering to \p Out. One buffer serves the
+  /// whole tree, so each node's text is copied once, not once per ancestor.
+  void render(const Grammar &G, std::string &Out) const {
+    if (IsToken) {
+      if (ErrKind == ErrorNodeKind::None) {
+        Out += OwnedText;
+      } else if (ErrKind == ErrorNodeKind::Marker) {
+        Out += "(error)";
+      } else {
+        Out += "(error ";
+        Out += OwnedText;
+        Out += ')';
+      }
+      return;
+    }
+    Out += '(';
+    Out += G.rule(RuleIdx).Name;
+    for (const auto &C : Children) {
+      Out += ' ';
+      C->render(G, Out);
+    }
+    Out += ')';
+  }
+
   /// Copies \p T, re-pointing its text at this node's own storage.
   void adopt(const Token &T) {
-    OwnedText.assign(T.Text); // assign tolerates T.Text aliasing OwnedText
+    OwnedText.assign(T.Text);
     Tok = T;
     Tok.Text = OwnedText;
   }
@@ -186,8 +166,6 @@ private:
   bool IsToken = false;
   ErrorNodeKind ErrKind = ErrorNodeKind::None;
   int32_t RuleIdx = -1;
-  uint32_t Slot = 0;
-  ParseTree *Parent = nullptr;
   Token Tok;
   std::string OwnedText; ///< Tok.Text's storage (token leaves)
   std::vector<std::unique_ptr<ParseTree>> Children;

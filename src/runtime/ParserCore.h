@@ -77,7 +77,8 @@ struct ParserOptions {
   std::chrono::steady_clock::time_point Deadline =
       std::chrono::steady_clock::time_point::max();
   /// Incremental-reparse instrumentation (see runtime/ReuseHooks.h). Both
-  /// engines honor it identically. Not owned; must outlive the parse.
+  /// engines honor it identically; subtrees are spliced only into arena
+  /// trees (\ref TreeArena). Not owned; must outlive the parse.
   ReuseHooks *Hooks = nullptr;
 };
 
@@ -453,13 +454,10 @@ bool ParserCore::runRule(Engine &E, int32_t RuleIndex, int32_t Precedence,
 
   // Incremental reparse: splice a recorded subtree instead of running the
   // body when the subscriber vouches for it (see runtime/ReuseHooks.h).
-  if (Opts.Hooks && !speculating() && Parent) {
+  if (Opts.Hooks && !speculating() && Parent.InArena) {
     ReuseHooks::Splice Sp;
     if (Opts.Hooks->tryReuse(RuleIndex, Precedence, Stream.index(), Sp)) {
-      if (Parent.Heap)
-        Parent.Heap->addChild(std::move(Sp.Heap));
-      else if (Parent.InArena)
-        Parent.InArena->addChild(Sp.InArena);
+      Parent.InArena->addChild(Sp.InArena);
       Stream.seek(Sp.NextIndex);
       InsertionsSinceConsume = 0;
       ++Stats.NodesReused;
@@ -491,7 +489,7 @@ bool ParserCore::runRule(Engine &E, int32_t RuleIndex, int32_t Precedence,
   }
 
   if (Hooked)
-    Opts.Hooks->exitRule(RuleIndex, Stream.index(), Node.Heap, Node.InArena);
+    Opts.Hooks->exitRule(RuleIndex, Stream.index(), Node.InArena);
 
   if (UseMemo)
     Memo[Key] = Ok ? Stream.index() : -1;

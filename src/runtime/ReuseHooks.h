@@ -10,10 +10,10 @@
 /// interpreting LLStarParser and the compiled CompiledParser call back at
 /// the same points:
 ///
-///   - tryReuse() before running a non-speculative rule invocation: a hit
-///     splices a previously built subtree into the tree under construction
-///     and skips the rule body entirely (the engine seeks the stream past
-///     the subtree's tokens);
+///   - tryReuse() before running a non-speculative rule invocation whose
+///     parent is an arena node: a hit splices a previously built arena
+///     subtree into the tree under construction and skips the rule body
+///     entirely (the engine seeks the stream past the subtree's tokens);
 ///   - enterRule()/exitRule() bracketing every non-speculative rule body,
 ///     so the subscriber can record per-node reuse metadata;
 ///   - lookahead() at every prediction record point — including during
@@ -34,11 +34,9 @@
 #define LLSTAR_RUNTIME_REUSEHOOKS_H
 
 #include <cstdint>
-#include <memory>
 
 namespace llstar {
 
-class ParseTree;
 class ArenaParseTree;
 
 /// Abstract subscriber for incremental-reparse instrumentation. All calls
@@ -48,11 +46,10 @@ class ReuseHooks {
 public:
   virtual ~ReuseHooks() = default;
 
-  /// A successful reuse probe: exactly one of Heap/InArena is set, matching
-  /// the parser's tree mode, and NextIndex is the stream index just past
-  /// the subtree's last consumed token.
+  /// A successful reuse probe: the subtree to attach, carved from the
+  /// arena the parse builds into, and the stream index just past its last
+  /// consumed token.
   struct Splice {
-    std::unique_ptr<ParseTree> Heap;
     ArenaParseTree *InArena = nullptr;
     int64_t NextIndex = -1;
   };
@@ -70,10 +67,10 @@ public:
 
   /// The invocation announced by the matching enterRule finished (possibly
   /// after recovery resync). \p NextIndex is the stream index after the
-  /// rule; the node pointers identify the freshly built tree node (null
-  /// when tree building is off).
-  virtual void exitRule(int32_t Rule, int64_t NextIndex, ParseTree *HeapNode,
-                        ArenaParseTree *ArenaNode) = 0;
+  /// rule; \p Node is the freshly built arena node (null when the parse
+  /// builds no arena tree).
+  virtual void exitRule(int32_t Rule, int64_t NextIndex,
+                        ArenaParseTree *Node) = 0;
 
   /// A prediction event examined tokens up to stream index
   /// \p MaxIndexInclusive (an over-approximation by at most one token).

@@ -5,7 +5,7 @@
 // incremental tokenization on multi-line inputs, and the reuse-soundness
 // contract of IncrementalSession — after every edit the session must be
 // byte-identical to a from-scratch parse (scratchParse is the oracle) in
-// every engine/tree/recovery mode. The adversarial cases aim edits
+// every engine/recovery mode. The adversarial cases aim edits
 // directly at the subsystem's invariants: inside tokens, at
 // maximal-munch boundaries, just outside the damage window where only
 // maxLookaheadReach prevents unsound reuse, and into panic-recovered
@@ -44,14 +44,13 @@ std::shared_ptr<const GrammarBundle> bundleOrFail(const char *Text) {
   return Bundle;
 }
 
-/// All eight engine/tree/recovery combinations.
+/// All four engine/recovery combinations.
 std::vector<SessionOptions> allModes() {
   std::vector<SessionOptions> Modes;
-  for (int I = 0; I < 8; ++I) {
+  for (int I = 0; I < 4; ++I) {
     SessionOptions SO;
     SO.UseCompiled = (I & 1) != 0;
-    SO.UseArena = (I & 2) != 0;
-    SO.Recover = (I & 4) == 0;
+    SO.Recover = (I & 2) == 0;
     Modes.push_back(SO);
   }
   return Modes;
@@ -59,7 +58,6 @@ std::vector<SessionOptions> allModes() {
 
 std::string modeName(const SessionOptions &SO) {
   std::string M = SO.UseCompiled ? "compiled" : "interp";
-  M += SO.UseArena ? "+arena" : "+heap";
   M += SO.Recover ? "+recover" : "+strict";
   return M;
 }
@@ -356,10 +354,10 @@ b : 'w' | 'z' ;
 
 TEST(IncrementalSessionTest, EditsInPanicRecoveredRegionsStayConsistent) {
   auto Bundle = bundleOrFail(ExprGrammar);
-  for (bool Arena : {false, true}) {
+  for (bool Compiled : {false, true}) {
     SessionOptions SO;
     SO.Recover = true;
-    SO.UseArena = Arena;
+    SO.UseCompiled = Compiled;
     IncrementalSession S(Bundle, SO);
     // `* *` forces panic recovery mid-expression; then edit inside, just
     // before, and just after the recovered region.

@@ -69,7 +69,6 @@ int usage() {
       "                    stats (nodesReused / tokensRelexed /\n"
       "                    decisionsReparsed included)\n"
       "  --no-reuse        edit-script mode: full reparse per edit (baseline)\n"
-      "  --arena           edit-script mode: arena parse trees\n"
       "  --quiet           per-input lines off; summary only\n");
   return 3;
 }
@@ -130,7 +129,6 @@ struct Options {
   std::string StatsOut;
   std::string EditScriptPath;
   bool NoReuse = false;
-  bool UseArena = false;
   bool Quiet = false;
 };
 
@@ -180,7 +178,6 @@ int runEditScript(std::shared_ptr<const GrammarBundle> Bundle,
   incremental::SessionOptions SO;
   SO.Recover = O.Recover;
   SO.UseCompiled = O.UseCompiled;
-  SO.UseArena = O.UseArena;
   SO.Reuse = !O.NoReuse;
   SO.StartRule = O.StartRule;
   incremental::IncrementalSession Session(Bundle, SO);
@@ -283,8 +280,6 @@ int main(int Argc, char **Argv) {
       O.EditScriptPath = Args[++I];
     else if (A == "--no-reuse")
       O.NoReuse = true;
-    else if (A == "--arena")
-      O.UseArena = true;
     else if (A == "--quiet")
       O.Quiet = true;
     else if (!A.empty() && A[0] == '-' && A != "-")

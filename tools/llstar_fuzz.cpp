@@ -77,8 +77,8 @@ int usage() {
       "                      token-splitting and trivia-spanning edits) and\n"
       "                      assert that tokens, tree, and diagnostics stay\n"
       "                      byte-identical to a from-scratch parse after\n"
-      "                      every edit, rotating through heap|arena x\n"
-      "                      interpreted|compiled x recovery on|off\n"
+      "                      every edit, rotating through interpreted|\n"
+      "                      compiled x recovery on|off\n"
       "  --corpus DIR        edit-smoke only: take grammars from DIR/*.g\n"
       "                      instead of generating them\n"
       "  --edits N           edit-smoke: edits per session (default 8)\n"
@@ -402,7 +402,6 @@ std::string checkEditSessionOnce(std::shared_ptr<const GrammarBundle> Bundle,
   std::string History;
   auto Mode = [&]() {
     std::string M = SO.UseCompiled ? "compiled" : "interp";
-    M += SO.UseArena ? "+arena" : "+heap";
     M += SO.Recover ? "+recover" : "+strict";
     return M;
   };
@@ -487,7 +486,7 @@ std::string checkEditSessionOnce(std::shared_ptr<const GrammarBundle> Bundle,
 // --corpus DIR), derive a base sentence, and run an incremental session
 // through a random edit script, checking byte-identical equivalence with
 // from-scratch parses after every edit. Iterations rotate through all
-// eight engine/tree/recovery mode combinations.
+// four engine/recovery mode combinations.
 int editSmoke(const FuzzConfig &Config, const std::string &CorpusDir,
               int EditsPerSession, bool Quiet) {
   std::vector<std::pair<std::string, std::shared_ptr<const GrammarBundle>>>
@@ -564,8 +563,7 @@ int editSmoke(const FuzzConfig &Config, const std::string &CorpusDir,
 
     incremental::SessionOptions SO;
     SO.UseCompiled = (I & 1) != 0;
-    SO.UseArena = (I & 2) != 0;
-    SO.Recover = (I & 4) == 0;
+    SO.Recover = (I & 2) == 0;
     ++Sessions;
     std::string Detail = checkEditSessionOnce(Bundle, Base, Rng, SO,
                                               std::max(EditsPerSession, 1),
