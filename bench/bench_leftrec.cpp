@@ -108,28 +108,28 @@ int main() {
     LLStarParser P(*LeftRec, Stream, nullptr, Diags);
     auto Tree = P.parse("e");
     // Evaluate the loop-form tree: head operand then (op, operand) pairs.
-    std::function<long(const ParseTree *)> Eval =
-        [&](const ParseTree *N) -> long {
+    std::function<long(const ArenaParseTree *)> Eval =
+        [&](const ArenaParseTree *N) -> long {
       if (N->isToken())
-        return std::strtol(N->text().c_str(), nullptr, 10);
-      size_t I;
+        return std::strtol(std::string(Tree->token(*N).Text).c_str(),
+                           nullptr, 10);
       long V;
-      if (N->child(0)->isToken() && N->child(0)->token().Text == "(") {
-        V = Eval(N->child(1));
-        I = 3;
+      const ArenaParseTree *C = N->firstChild();
+      if (C->isToken() && Tree->token(*C).Text == "(") {
+        V = Eval(C->nextSibling());
+        C = C->nextSibling()->nextSibling()->nextSibling();
       } else {
-        V = Eval(N->child(0));
-        I = 1;
+        V = Eval(C);
+        C = C->nextSibling();
       }
-      while (I + 1 < N->numChildren() + 1 && I < N->numChildren()) {
-        char Op = N->child(I)->token().Text[0];
-        long R = Eval(N->child(I + 1));
+      for (; C && C->nextSibling(); C = C->nextSibling()->nextSibling()) {
+        char Op = Tree->token(*C).Text[0];
+        long R = Eval(C->nextSibling());
         V = Op == '+' ? V + R : Op == '-' ? V - R : Op == '*' ? V * R : V / R;
-        I += 2;
       }
       return V;
     };
-    long Got = P.ok() ? Eval(Tree.get()) : -1;
+    long Got = P.ok() ? Eval(Tree->root()) : -1;
     std::printf("  %-10s => %ld %s\n", C.Input, Got,
                 Got == C.Expected ? "ok" : "WRONG");
   }

@@ -19,6 +19,8 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <string>
+#include <string_view>
 
 using namespace llstar;
 
@@ -40,26 +42,29 @@ WS  : [ \t\r\n]+ -> skip ;
 
 /// Evaluates the loop-form tree the precedence rewrite produces: an
 /// operand head, then (operator, operand) pairs folded left to right.
-double evalNode(const ParseTree *N) {
+/// Token texts are looked up in \p T, the tree that owns them.
+double evalNode(const ParseTree &T, const ArenaParseTree *N) {
+  auto TextOf = [&](const ArenaParseTree *Leaf) {
+    return Leaf->isToken() ? T.token(*Leaf).Text : std::string_view();
+  };
   if (N->isToken())
-    return std::strtod(N->text().c_str(), nullptr);
+    return std::strtod(std::string(TextOf(N)).c_str(), nullptr);
 
-  size_t I = 0;
   double V = 0;
-  const ParseTree *Head = N->child(0);
-  if (Head->isToken() && Head->token().Text == "(") {
-    V = evalNode(N->child(1));
-    I = 3; // '(' e ')'
-  } else if (Head->isToken() && Head->token().Text == "-") {
-    V = -evalNode(N->child(1));
-    I = 2; // '-' e
+  const ArenaParseTree *C = N->firstChild();
+  if (TextOf(C) == "(") {
+    V = evalNode(T, C->nextSibling());
+    C = C->nextSibling()->nextSibling()->nextSibling(); // '(' e ')'
+  } else if (TextOf(C) == "-") {
+    V = -evalNode(T, C->nextSibling());
+    C = C->nextSibling()->nextSibling(); // '-' e
   } else {
-    V = evalNode(Head);
-    I = 1;
+    V = evalNode(T, C);
+    C = C->nextSibling();
   }
-  while (I + 1 < N->numChildren() + 1 && I < N->numChildren()) {
-    const std::string &Op = N->child(I)->text();
-    double R = evalNode(N->child(I + 1));
+  for (; C && C->nextSibling(); C = C->nextSibling()->nextSibling()) {
+    std::string_view Op = TextOf(C);
+    double R = evalNode(T, C->nextSibling());
     if (Op == "+")
       V += R;
     else if (Op == "-")
@@ -70,7 +75,6 @@ double evalNode(const ParseTree *N) {
       V /= R;
     else if (Op == "^")
       V = std::pow(V, R);
-    I += 2;
   }
   return V;
 }
@@ -110,7 +114,8 @@ int main(int Argc, char **Argv) {
       continue;
     }
     // s : e EOF ; — the expression is the first child.
-    std::printf("%-22s => %g\n", Input.c_str(), evalNode(Tree->child(0)));
+    std::printf("%-22s => %g\n", Input.c_str(),
+                evalNode(*Tree, Tree->root()->firstChild()));
   }
   return Failures == 0 ? 0 : 1;
 }

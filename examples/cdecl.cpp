@@ -124,7 +124,7 @@ int main() {
 
   std::printf("parsed %zu top-level constructs; %zu typedef names "
               "recorded:",
-              Tree->numChildren(), TypeNames.size());
+              Tree->root()->numChildren(), TypeNames.size());
   for (const std::string &T : TypeNames)
     std::printf(" %s", T.c_str());
   std::printf("\n\nruntime profile:\n");

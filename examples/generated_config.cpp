@@ -11,6 +11,7 @@
 #include "runtime/TreeUtils.h"
 
 #include <cstdio>
+#include <string>
 
 int main() {
   configparser::ConfigParser Parser;
@@ -36,16 +37,25 @@ cache.dir = "/tmp/cache"
   }
 
   // Walk the tree with the generated rule constants.
-  auto Sections = llstar::collectRuleNodes(*Tree, configparser::RULE_section);
+  const llstar::ArenaParseTree &Root = *Tree->root();
+  auto TextOf = [&](const llstar::ArenaParseTree *Leaf) {
+    return std::string(Tree->token(*Leaf).Text);
+  };
+  auto Sections = llstar::collectRuleNodes(Root, configparser::RULE_section);
   std::printf("parsed %zu sections:\n", Sections.size());
-  for (const llstar::ParseTree *S : Sections) {
+  for (const llstar::ArenaParseTree *S : Sections) {
     // section : '[' ID ']' entry* ;
     std::printf("  [%s] with %zu entries\n",
-                S->child(1)->text().c_str(), S->numChildren() - 3);
+                TextOf(S->firstChild()->nextSibling()).c_str(),
+                S->numChildren() - 3);
   }
-  auto Entries = llstar::collectRuleNodes(*Tree, configparser::RULE_entry);
-  for (const llstar::ParseTree *E : Entries)
-    std::printf("    %-10s = %s\n", E->child(0)->text().c_str(),
-                llstar::treeText(*E->child(2)).c_str());
+  auto Entries = llstar::collectRuleNodes(Root, configparser::RULE_entry);
+  for (const llstar::ArenaParseTree *E : Entries) {
+    // entry : ID '=' value ;
+    const llstar::ArenaParseTree *Key = E->firstChild();
+    const llstar::ArenaParseTree *Value = Key->nextSibling()->nextSibling();
+    std::printf("    %-10s = %s\n", TextOf(Key).c_str(),
+                llstar::treeText(*Value, Tree->tokens()).c_str());
+  }
   return 0;
 }

@@ -131,7 +131,7 @@ bool ReuseRecorder::tryReuse(int32_t Rule, int32_t Precedence,
     Metas.resize(DstBase);
     return false;
   }
-  Out.InArena = Copy;
+  Out.Node = Copy;
   Out.NextIndex = M.Next + Shift;
 
   // The engine skips the child's body, so no exitRule will fold the

@@ -42,8 +42,8 @@ enum class TokenChannel : uint8_t {
 /// \ref Text points into the buffer the token was lexed from (the EOF
 /// token's points at a static "<EOF>"), so a token — and every vector,
 /// stream or arena tree holding tokens — is valid only while that buffer
-/// lives and is not modified. Heap ParseTree leaves copy the text into
-/// storage they own and so outlive the input.
+/// lives and is not modified. The ParseTree that parse() returns copies
+/// the texts into storage it owns and so outlives the input.
 struct Token {
   TokenType Type = TokenInvalid;
   TokenChannel Channel = TokenChannel::Default;

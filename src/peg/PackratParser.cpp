@@ -19,11 +19,12 @@ std::unique_ptr<ParseTree> PackratParser::parse(const std::string &RuleName) {
     return nullptr;
   }
   Memo.clear();
-  std::unique_ptr<ParseTree> Root;
-  ParseTree *Parent = nullptr;
+  std::unique_ptr<ParseTree> Result;
+  ArenaParseTree *Parent = nullptr;
   if (Opts.BuildTree) {
-    Root = ParseTree::ruleNode(Rule);
-    Parent = Root.get();
+    Result = std::make_unique<ParseTree>(Rule, &Stream);
+    NodeArena = &Result->arena();
+    Parent = Result->root();
   }
   int64_t Start = Stream.index();
   bool Ok = true;
@@ -36,7 +37,7 @@ std::unique_ptr<ParseTree> PackratParser::parse(const std::string &RuleName) {
     }
     ++Stats.AltFailures;
     if (Parent)
-      Parent->truncateChildren(0); // roll back the failed attempt
+      Parent->keepChildren(0); // roll back the failed attempt
     Ok = false;
   }
   if (!Ok) {
@@ -48,10 +49,10 @@ std::unique_ptr<ParseTree> PackratParser::parse(const std::string &RuleName) {
     Diags.error(T.Loc, "PEG parse failed near '" + std::string(T.Text) + "'");
   }
   LastParseOk = Ok;
-  return Root;
+  return Result;
 }
 
-bool PackratParser::parseRule(int32_t RuleIndex, ParseTree *Parent) {
+bool PackratParser::parseRule(int32_t RuleIndex, ArenaParseTree *Parent) {
   ++Stats.RuleInvocations;
   if (budgetExceeded())
     return false;
@@ -76,11 +77,11 @@ bool PackratParser::parseRule(int32_t RuleIndex, ParseTree *Parent) {
     ++Stats.MemoMisses;
   }
 
-  ParseTree *Node = nullptr;
+  ArenaParseTree *Node = nullptr;
   size_t ParentArity = 0;
   if (Parent) {
     ParentArity = Parent->numChildren();
-    Node = Parent->addChild(ParseTree::ruleNode(RuleIndex));
+    Node = Parent->addChild(ArenaParseTree::ruleNode(*NodeArena, RuleIndex));
   }
 
   bool Ok = false;
@@ -94,25 +95,26 @@ bool PackratParser::parseRule(int32_t RuleIndex, ParseTree *Parent) {
     ++Stats.AltFailures;
     // Roll back any children the failed attempt produced.
     if (Node)
-      Node->truncateChildren(0);
+      Node->keepChildren(0);
   }
 
   if (!Ok && Parent)
-    Parent->truncateChildren(ParentArity); // drop the failed rule node
+    Parent->keepChildren(ParentArity); // drop the failed rule node
 
   if (Opts.Memoize)
     Memo[Key] = Ok ? Stream.index() : -1;
   return Ok;
 }
 
-bool PackratParser::parseAlternative(const Alternative &A, ParseTree *Parent) {
+bool PackratParser::parseAlternative(const Alternative &A,
+                                     ArenaParseTree *Parent) {
   for (const Element &E : A.Elements)
     if (!parseElement(E, Parent))
       return false;
   return true;
 }
 
-bool PackratParser::parseElement(const Element &E, ParseTree *Parent) {
+bool PackratParser::parseElement(const Element &E, ArenaParseTree *Parent) {
   if (budgetExceeded())
     return false;
   switch (E.Kind) {
@@ -121,7 +123,7 @@ bool PackratParser::parseElement(const Element &E, ParseTree *Parent) {
     if (Stream.LA(1) != E.TokType)
       return false;
     if (Parent)
-      Parent->addChild(ParseTree::tokenNode(Stream.LT(1)));
+      Parent->addChild(ArenaParseTree::tokenNode(*NodeArena, Stream.index()));
     Stream.consume();
     return true;
   }
@@ -132,7 +134,7 @@ bool PackratParser::parseElement(const Element &E, ParseTree *Parent) {
     if (T == TokenEof || (E.Negated ? InSet : !InSet))
       return false;
     if (Parent)
-      Parent->addChild(ParseTree::tokenNode(Stream.LT(1)));
+      Parent->addChild(ArenaParseTree::tokenNode(*NodeArena, Stream.index()));
     Stream.consume();
     return true;
   }
@@ -159,7 +161,7 @@ bool PackratParser::parseElement(const Element &E, ParseTree *Parent) {
         (*Fn)();
     return true;
   case ElementKind::Block: {
-    auto TryAlts = [&](ParseTree *Node) -> bool {
+    auto TryAlts = [&](ArenaParseTree *Node) -> bool {
       int64_t Start = Stream.index();
       for (const Alternative &A : E.Alts) {
         Stream.seek(Start);
@@ -168,9 +170,12 @@ bool PackratParser::parseElement(const Element &E, ParseTree *Parent) {
           return true;
         ++Stats.AltFailures;
         if (Node)
-          Node->truncateChildren(0);
+          Node->keepChildren(0);
       }
       return false;
+    };
+    auto NewScratch = [&]() -> ArenaParseTree * {
+      return Parent ? ArenaParseTree::ruleNode(*NodeArena, -1) : nullptr;
     };
     // NOTE: like any PEG, sub-alternative attempts that partially built
     // tree children must roll back; we parse block bodies into a scratch
@@ -179,20 +184,18 @@ bool PackratParser::parseElement(const Element &E, ParseTree *Parent) {
     case BlockRepeat::None: {
       if (!Parent)
         return TryAlts(nullptr);
-      auto Scratch = ParseTree::ruleNode(-1);
-      if (!TryAlts(Scratch.get()))
+      ArenaParseTree *Scratch = NewScratch();
+      if (!TryAlts(Scratch))
         return false;
-      for (auto &C : Scratch->takeChildren())
-        Parent->addChild(std::move(C));
+      Parent->adoptChildren(*Scratch);
       return true;
     }
     case BlockRepeat::Optional: {
       int64_t Mark = Stream.index();
-      auto Scratch = Parent ? ParseTree::ruleNode(-1) : nullptr;
-      if (TryAlts(Scratch.get())) {
+      ArenaParseTree *Scratch = NewScratch();
+      if (TryAlts(Scratch)) {
         if (Parent)
-          for (auto &C : Scratch->takeChildren())
-            Parent->addChild(std::move(C));
+          Parent->adoptChildren(*Scratch);
         return true;
       }
       Stream.seek(Mark);
@@ -203,16 +206,15 @@ bool PackratParser::parseElement(const Element &E, ParseTree *Parent) {
       int64_t Iterations = 0;
       while (true) {
         int64_t Mark = Stream.index();
-        auto Scratch = Parent ? ParseTree::ruleNode(-1) : nullptr;
-        if (!TryAlts(Scratch.get())) {
+        ArenaParseTree *Scratch = NewScratch();
+        if (!TryAlts(Scratch)) {
           Stream.seek(Mark);
           break;
         }
         if (Stream.index() == Mark)
           break; // epsilon body: stop (possessive loops must progress)
         if (Parent)
-          for (auto &C : Scratch->takeChildren())
-            Parent->addChild(std::move(C));
+          Parent->adoptChildren(*Scratch);
         ++Iterations;
       }
       return E.Repeat == BlockRepeat::Star || Iterations > 0;

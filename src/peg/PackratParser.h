@@ -60,7 +60,8 @@ public:
     bool Memoize = true;
     /// Build a parse tree. Memoized *successes* are then not reusable (the
     /// memo stores extents, not trees), so recognition benchmarks should
-    /// leave this off; failure memoization still applies.
+    /// leave this off; failure memoization still applies. Nodes of failed
+    /// attempts stay in the tree's arena until the tree is released.
     bool BuildTree = false;
     /// Abort a hopeless parse after this many rule invocations (guards the
     /// non-memoized exponential mode in benchmarks).
@@ -80,9 +81,9 @@ public:
   const PackratStats &stats() const { return Stats; }
 
 private:
-  bool parseRule(int32_t RuleIndex, ParseTree *Parent);
-  bool parseAlternative(const Alternative &A, ParseTree *Parent);
-  bool parseElement(const Element &E, ParseTree *Parent);
+  bool parseRule(int32_t RuleIndex, ArenaParseTree *Parent);
+  bool parseAlternative(const Alternative &A, ArenaParseTree *Parent);
+  bool parseElement(const Element &E, ArenaParseTree *Parent);
 
   bool budgetExceeded() const {
     return Opts.MaxRuleInvocations >= 0 &&
@@ -106,6 +107,8 @@ private:
   PackratStats Stats;
   std::unordered_map<uint64_t, int64_t> Memo; // key -> stop index or -1
   bool LastParseOk = false;
+  /// The arena of the tree under construction (the result's own).
+  Arena *NodeArena = nullptr;
 };
 
 } // namespace llstar

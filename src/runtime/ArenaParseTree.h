@@ -5,15 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The arena allocation mode for parse trees: trivially destructible nodes
+/// The parse-tree node every parser builds: trivially destructible nodes
 /// carved from an \ref Arena, linked through intrusive sibling pointers.
 /// Token leaves store the token's index in the \ref TokenStream instead of
 /// an owning copy, so releasing a tree is the O(1) arena reset — the parse
 /// service renders or walks the tree while the request's stream is alive,
-/// then recycles the region.
-///
-/// \ref str produces byte-identical output to ParseTree::str for the same
-/// parse; ServiceTests rely on that to compare heap and arena modes.
+/// then recycles the region. A one-shot parse() hands back a \ref ParseTree,
+/// which owns the arena and a copy of the tokens the leaves index.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,12 +21,20 @@
 #include "grammar/Grammar.h"
 #include "lexer/TokenStream.h"
 #include "runtime/Arena.h"
-#include "runtime/ParseTree.h" // ErrorNodeKind
 
 #include <cstdint>
 #include <string>
 
 namespace llstar {
+
+/// How an error leaf came to be. Error leaves are emitted by the
+/// error-recovering runtime (src/recover) and render as `(error ...)`.
+enum class ErrorNodeKind : uint8_t {
+  None,    ///< not an error node
+  Skipped, ///< a real input token deleted or panic-skipped during recovery
+  Missing, ///< a conjured token (single-token insertion)
+  Marker,  ///< zero-width marker: recovery re-synced without consuming
+};
 
 /// One arena-allocated parse-tree node. No destructor may be required; the
 /// arena frees nodes without running them.
@@ -90,6 +96,36 @@ public:
     return Child;
   }
 
+  /// Keeps the first \p N children and unlinks the rest, which stay in the
+  /// arena until it is released; the packrat parser rolls back a failed
+  /// attempt with this.
+  void keepChildren(size_t N) {
+    if (N >= NumChildren)
+      return;
+    NumChildren = uint32_t(N);
+    if (N == 0) {
+      FirstChild = LastChild = nullptr;
+      return;
+    }
+    LastChild = FirstChild;
+    while (--N > 0)
+      LastChild = LastChild->NextSibling;
+    LastChild->NextSibling = nullptr;
+  }
+  /// Moves all of \p Scratch's children to the end of this node's list.
+  void adoptChildren(ArenaParseTree &Scratch) {
+    if (!Scratch.FirstChild)
+      return;
+    if (LastChild)
+      LastChild->NextSibling = Scratch.FirstChild;
+    else
+      FirstChild = Scratch.FirstChild;
+    LastChild = Scratch.LastChild;
+    NumChildren += Scratch.NumChildren;
+    Scratch.FirstChild = Scratch.LastChild = nullptr;
+    Scratch.NumChildren = 0;
+  }
+
   const ArenaParseTree *firstChild() const { return FirstChild; }
   const ArenaParseTree *nextSibling() const { return NextSibling; }
   size_t numChildren() const { return NumChildren; }
@@ -110,8 +146,9 @@ public:
     return N;
   }
 
-  /// LISP-style rendering identical to ParseTree::str: `(rule child ...)`,
-  /// token leaves as their text (looked up in \p Stream).
+  /// LISP-style rendering: `(rule child ...)`, token leaves as their text
+  /// (looked up in \p Stream), error leaves as `(error <text>)`
+  /// (`(error <missing X>)` for conjured tokens, `(error)` for markers).
   std::string str(const Grammar &G, const TokenStream &Stream) const {
     std::string Out;
     render(G, Stream, Out);

@@ -46,10 +46,13 @@ public:
                SemanticEnv *Env, DiagnosticEngine &Diags, ParserOptions Opts);
 
   /// Parses starting at \p RuleName (or the grammar's first rule when
-  /// empty). Returns the (possibly partial) parse tree; syntax errors are
-  /// reported to the diagnostics engine — check \c Diags.hasErrors() or
-  /// \ref ok(). In arena mode (ParserOptions::TreeArena) the return value
-  /// is null and the root is available via \ref arenaTree.
+  /// empty). Returns the (possibly partial) parse tree, which owns its
+  /// nodes and a copy of the token texts and so outlives the input; syntax
+  /// errors are reported to the diagnostics engine — check
+  /// \c Diags.hasErrors() or \ref ok(). With ParserOptions::TreeArena the
+  /// tree is built in that arena instead: the return value is null and the
+  /// root is available via \ref arenaTree. Null also for an unknown start
+  /// rule.
   std::unique_ptr<ParseTree> parse(const std::string &RuleName = "");
 
 private:

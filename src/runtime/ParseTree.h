@@ -1,13 +1,15 @@
-//===- runtime/ParseTree.h - Concrete parse trees ---------------*- C++ -*-===//
+//===- runtime/ParseTree.h - The owning result of parse() -------*- C++ -*-===//
 //
 // Part of the llstar project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Concrete syntax trees built by the LL(*) and packrat parsers during
-/// non-speculative parsing. Nodes are either rule applications or token
-/// leaves.
+/// What a one-shot parse() returns: an \ref ArenaParseTree together with
+/// everything it needs to be walked and rendered on its own — the arena its
+/// nodes live in and a copy of the tokens its leaves index. Callers that
+/// render while the input is alive (the parse service, incremental
+/// sessions) pass ParserOptions::TreeArena instead and skip the copy.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,160 +17,74 @@
 #define LLSTAR_RUNTIME_PARSETREE_H
 
 #include "grammar/Grammar.h"
-#include "lexer/Token.h"
+#include "lexer/TokenStream.h"
+#include "runtime/Arena.h"
+#include "runtime/ArenaParseTree.h"
 
-#include <cassert>
-#include <memory>
 #include <string>
 #include <vector>
 
 namespace llstar {
 
-/// How an error leaf came to be. Error leaves are emitted by the
-/// error-recovering runtime (src/recover) and render as `(error ...)`;
-/// ParseTree and ArenaParseTree produce byte-identical renderings.
-enum class ErrorNodeKind : uint8_t {
-  None,    ///< not an error node
-  Skipped, ///< a real input token deleted or panic-skipped during recovery
-  Missing, ///< a conjured token (single-token insertion)
-  Marker,  ///< zero-width marker: recovery re-synced without consuming
-};
-
-/// One parse-tree node.
-///
-/// Token leaves copy their text into storage the node owns, so a heap tree
-/// outlives (and survives edits of) the input it was parsed from; token()
-/// views that copy. Nodes therefore never move: they live behind
-/// unique_ptr and are neither copyable nor movable.
+/// An owning parse tree. Token texts are copied into one buffer the tree
+/// owns, so it outlives (and survives edits of) the input it was parsed
+/// from. Neither copyable nor movable: the copied tokens view its buffer.
 class ParseTree {
 public:
-  ParseTree() = default;
+  /// An empty tree rooted at an application of \p RootRule. With \p Source,
+  /// copies its tokens and their texts; without (no tree is built), holds
+  /// only an EOF token.
+  ParseTree(int32_t RootRule, const TokenStream *Source)
+      : Toks(copyTokens(Source, Text)),
+        Root(ArenaParseTree::ruleNode(A, RootRule)) {}
   ParseTree(const ParseTree &) = delete;
   ParseTree &operator=(const ParseTree &) = delete;
 
-  static std::unique_ptr<ParseTree> ruleNode(int32_t RuleIndex) {
-    auto N = std::make_unique<ParseTree>();
-    N->RuleIdx = RuleIndex;
-    return N;
-  }
-  static std::unique_ptr<ParseTree> tokenNode(const Token &Tok) {
-    auto N = std::make_unique<ParseTree>();
-    N->IsToken = true;
-    N->adopt(Tok);
-    return N;
-  }
-  /// An error leaf. \p Tok carries the exact source span: the skipped
-  /// token itself, or for Missing/Marker nodes the token at the repair
-  /// point (Missing nodes carry the conjured type and a synthetic
-  /// `<missing X>` text, which the node copies like any other).
-  static std::unique_ptr<ParseTree> errorNode(const Token &Tok,
-                                              ErrorNodeKind Kind) {
-    auto N = tokenNode(Tok);
-    N->ErrKind = Kind;
-    return N;
+  const ArenaParseTree *root() const { return Root; }
+  ArenaParseTree *root() { return Root; }
+  /// The arena the nodes live in; parsers build into it.
+  Arena &arena() { return A; }
+
+  /// The copied tokens, indexed by ArenaParseTree::tokenIndex.
+  const TokenStream &tokens() const { return Toks; }
+  /// The token leaf \p Leaf stands for. A Missing error leaf's is the token
+  /// at the repair point (ArenaParseTree::missingToken has the conjured
+  /// type).
+  const Token &token(const ArenaParseTree &Leaf) const {
+    return Toks.at(Leaf.tokenIndex());
   }
 
-  bool isToken() const { return IsToken; }
-  bool isError() const { return ErrKind != ErrorNodeKind::None; }
-  ErrorNodeKind errorKind() const { return ErrKind; }
-  int32_t ruleIndex() const { return RuleIdx; }
-  const Token &token() const { return Tok; }
-  /// A token leaf's text as the node's own (null-terminated) string.
-  const std::string &text() const { return OwnedText; }
-
-  ParseTree *addChild(std::unique_ptr<ParseTree> Child) {
-    Children.push_back(std::move(Child));
-    return Children.back().get();
-  }
-  /// Drops children from index \p N on; speculative parsers roll back with
-  /// this after a failed attempt.
-  void truncateChildren(size_t N) {
-    if (N < Children.size())
-      Children.resize(N);
-  }
-  /// Moves all children out (splicing helper for scratch nodes).
-  std::vector<std::unique_ptr<ParseTree>> takeChildren() {
-    return std::move(Children);
-  }
-  const std::vector<std::unique_ptr<ParseTree>> &children() const {
-    return Children;
-  }
-  ParseTree *child(size_t I) const { return Children[I].get(); }
-  size_t numChildren() const { return Children.size(); }
-
-  /// Total number of nodes in this subtree.
-  size_t size() const {
-    size_t N = 1;
-    for (const auto &C : Children)
-      N += C->size();
-    return N;
-  }
-
-  /// Number of token leaves in this subtree. Error leaves do not count:
-  /// they are repair artifacts, not matched input.
-  size_t numTokens() const {
-    if (IsToken)
-      return isError() ? 0 : 1;
-    size_t N = 0;
-    for (const auto &C : Children)
-      N += C->numTokens();
-    return N;
-  }
-
-  /// Number of error leaves in this subtree.
-  size_t numErrorNodes() const {
-    size_t N = isError() ? 1 : 0;
-    for (const auto &C : Children)
-      N += C->numErrorNodes();
-    return N;
-  }
-
-  /// LISP-style rendering: `(rule child1 child2)`, token leaves as text,
-  /// error leaves as `(error <text>)` (`(error)` for zero-width markers).
-  std::string str(const Grammar &G) const {
-    std::string Out;
-    render(G, Out);
-    return Out;
-  }
+  /// Total number of nodes.
+  size_t size() const { return Root->size(); }
+  /// Number of error leaves.
+  size_t numErrorNodes() const { return Root->numErrorNodes(); }
+  /// LISP-style rendering (see ArenaParseTree::str).
+  std::string str(const Grammar &G) const { return Root->str(G, Toks); }
 
 private:
-  /// Appends this subtree's rendering to \p Out. One buffer serves the
-  /// whole tree, so each node's text is copied once, not once per ancestor.
-  void render(const Grammar &G, std::string &Out) const {
-    if (IsToken) {
-      if (ErrKind == ErrorNodeKind::None) {
-        Out += OwnedText;
-      } else if (ErrKind == ErrorNodeKind::Marker) {
-        Out += "(error)";
-      } else {
-        Out += "(error ";
-        Out += OwnedText;
-        Out += ')';
-      }
-      return;
+  /// Copies \p Source's tokens, re-pointing each text at \p Text, which is
+  /// sized once up front so the views never move.
+  static std::vector<Token> copyTokens(const TokenStream *Source,
+                                       std::string &Text) {
+    if (!Source)
+      return {Token::eof(0, SourceLocation())};
+    std::vector<Token> Copy = Source->tokens();
+    size_t Bytes = 0;
+    for (const Token &T : Copy)
+      Bytes += T.Text.size();
+    Text.reserve(Bytes);
+    for (Token &T : Copy) {
+      size_t At = Text.size(), Len = T.Text.size();
+      Text += T.Text;
+      T.Text = std::string_view(Text).substr(At, Len);
     }
-    Out += '(';
-    Out += G.rule(RuleIdx).Name;
-    for (const auto &C : Children) {
-      Out += ' ';
-      C->render(G, Out);
-    }
-    Out += ')';
+    return Copy;
   }
 
-  /// Copies \p T, re-pointing its text at this node's own storage.
-  void adopt(const Token &T) {
-    OwnedText.assign(T.Text);
-    Tok = T;
-    Tok.Text = OwnedText;
-  }
-
-  bool IsToken = false;
-  ErrorNodeKind ErrKind = ErrorNodeKind::None;
-  int32_t RuleIdx = -1;
-  Token Tok;
-  std::string OwnedText; ///< Tok.Text's storage (token leaves)
-  std::vector<std::unique_ptr<ParseTree>> Children;
+  Arena A;
+  std::string Text; ///< storage of every copied token's text
+  TokenStream Toks;
+  ArenaParseTree *Root;
 };
 
 } // namespace llstar

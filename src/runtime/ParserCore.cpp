@@ -28,7 +28,7 @@ ParserCore::ParserCore(const AnalyzedGrammar &AG, TokenStream &Stream,
 }
 
 int32_t ParserCore::beginParse(const std::string &RuleName,
-                               std::unique_ptr<ParseTree> &HeapRoot,
+                               std::unique_ptr<ParseTree> &Result,
                                NodeRef &Root) {
   int32_t Rule = RuleName.empty() ? AG.grammar().startRule()
                                   : AG.grammar().findRule(RuleName);
@@ -46,14 +46,16 @@ int32_t ParserCore::beginParse(const std::string &RuleName,
   InsertionsSinceConsume = 0;
 
   if (Opts.TreeArena) {
-    if (Opts.BuildTree) {
-      ArenaRoot = ArenaParseTree::ruleNode(*Opts.TreeArena, Rule);
-      Root.InArena = ArenaRoot;
-    }
-  } else {
-    HeapRoot = ParseTree::ruleNode(Rule);
+    NodeArena = Opts.TreeArena;
     if (Opts.BuildTree)
-      Root.Heap = HeapRoot.get();
+      Root.Tree = ArenaRoot = ArenaParseTree::ruleNode(*NodeArena, Rule);
+  } else {
+    // Without a tree there are no leaves, so there is no text to keep.
+    Result = std::make_unique<ParseTree>(Rule,
+                                         Opts.BuildTree ? &Stream : nullptr);
+    NodeArena = &Result->arena();
+    if (Opts.BuildTree)
+      Root.Tree = Result->root();
   }
   return Rule;
 }
@@ -63,58 +65,31 @@ int32_t ParserCore::beginParse(const std::string &RuleName,
 //===----------------------------------------------------------------------===//
 
 NodeRef ParserCore::addRuleChild(NodeRef Parent, int32_t RuleIndex) {
-  NodeRef Node;
-  if (Parent.Heap)
-    Node.Heap = Parent.Heap->addChild(ParseTree::ruleNode(RuleIndex));
-  else if (Parent.InArena)
-    Node.InArena = Parent.InArena->addChild(
-        ArenaParseTree::ruleNode(*Opts.TreeArena, RuleIndex));
-  return Node;
+  return {Parent.Tree->addChild(
+      ArenaParseTree::ruleNode(*NodeArena, RuleIndex))};
 }
 
 void ParserCore::addTokenChild(NodeRef Parent) {
-  if (Parent.Heap)
-    Parent.Heap->addChild(ParseTree::tokenNode(Stream.LT(1)));
-  else if (Parent.InArena)
-    Parent.InArena->addChild(
-        ArenaParseTree::tokenNode(*Opts.TreeArena, Stream.index()));
+  Parent.Tree->addChild(
+      ArenaParseTree::tokenNode(*NodeArena, Stream.index()));
 }
 
 void ParserCore::addErrorTokenChild(NodeRef Parent) {
-  if (Parent.Heap)
-    Parent.Heap->addChild(
-        ParseTree::errorNode(Stream.LT(1), ErrorNodeKind::Skipped));
-  else if (Parent.InArena)
-    Parent.InArena->addChild(
-        ArenaParseTree::errorNode(*Opts.TreeArena, Stream.index()));
+  if (Parent)
+    Parent.Tree->addChild(
+        ArenaParseTree::errorNode(*NodeArena, Stream.index()));
 }
 
 void ParserCore::addMissingTokenChild(NodeRef Parent, TokenType Missing) {
-  if (Parent.Heap) {
-    // Borrow the span of the token at the repair point; the text marks the
-    // leaf as synthetic (the node copies it).
-    const std::string Text =
-        "<missing " + AG.grammar().vocabulary().name(Missing) + ">";
-    Token Tok = Stream.LT(1);
-    Tok.Type = Missing;
-    Tok.Text = Text;
-    Parent.Heap->addChild(ParseTree::errorNode(Tok, ErrorNodeKind::Missing));
-  } else if (Parent.InArena) {
-    Parent.InArena->addChild(
-        ArenaParseTree::missingNode(*Opts.TreeArena, Missing, Stream.index()));
-  }
+  if (Parent)
+    Parent.Tree->addChild(
+        ArenaParseTree::missingNode(*NodeArena, Missing, Stream.index()));
 }
 
 void ParserCore::addMarkerChild(NodeRef Parent) {
-  if (Parent.Heap) {
-    Token Tok = Stream.LT(1);
-    Tok.Type = TokenInvalid;
-    Tok.Text = {};
-    Parent.Heap->addChild(ParseTree::errorNode(Tok, ErrorNodeKind::Marker));
-  } else if (Parent.InArena) {
-    Parent.InArena->addChild(
-        ArenaParseTree::markerNode(*Opts.TreeArena, Stream.index()));
-  }
+  if (Parent)
+    Parent.Tree->addChild(
+        ArenaParseTree::markerNode(*NodeArena, Stream.index()));
 }
 
 bool ParserCore::deadlinePoll() {

@@ -30,7 +30,6 @@
 #include "lexer/TokenStream.h"
 #include "recover/ErrorStrategy.h"
 #include "runtime/Arena.h"
-#include "runtime/ArenaParseTree.h"
 #include "runtime/ParseTree.h"
 #include "runtime/ParserStats.h"
 #include "runtime/ReuseHooks.h"
@@ -66,9 +65,9 @@ struct ParserOptions {
   /// default (\ref ErrorStrategy base behavior). Not owned; must be safe
   /// for concurrent use if the parser instances sharing it are.
   ErrorStrategy *Strategy = nullptr;
-  /// When non-null, parse trees are built as \ref ArenaParseTree nodes
-  /// carved from this arena instead of heap ParseTree nodes. parse() then
-  /// returns null; fetch the root with \ref ParserCore::arenaTree. The
+  /// When non-null, the parse tree is carved from this arena instead of
+  /// one the returned \ref ParseTree owns, and no token is copied. parse()
+  /// then returns null; fetch the root with \ref ParserCore::arenaTree. The
   /// arena and the token stream must outlive any use of the tree.
   Arena *TreeArena = nullptr;
   /// Absolute deadline for the parse; max() means none. Checked at decision
@@ -77,19 +76,15 @@ struct ParserOptions {
   std::chrono::steady_clock::time_point Deadline =
       std::chrono::steady_clock::time_point::max();
   /// Incremental-reparse instrumentation (see runtime/ReuseHooks.h). Both
-  /// engines honor it identically; subtrees are spliced only into arena
-  /// trees (\ref TreeArena). Not owned; must outlive the parse.
+  /// engines honor it identically. Not owned; must outlive the parse.
   ReuseHooks *Hooks = nullptr;
 };
 
-/// A parse-tree attachment point, valid for whichever tree representation
-/// the parse was configured with: exactly one pointer is set (heap
-/// ParseTree vs ArenaParseTree), or neither while speculating or when tree
-/// building is off.
+/// A parse-tree attachment point: the node children are appended to, or
+/// null while speculating or when tree building is off.
 struct NodeRef {
-  ParseTree *Heap = nullptr;
-  ArenaParseTree *InArena = nullptr;
-  explicit operator bool() const { return Heap || InArena; }
+  ArenaParseTree *Tree = nullptr;
+  explicit operator bool() const { return Tree; }
 };
 
 /// Smallest user-defined token type in \p S, or TokenInvalid: the token
@@ -105,8 +100,9 @@ public:
   /// True if the last parse() completed without syntax errors.
   bool ok() const { return LastParseOk; }
 
-  /// Root of the last arena-mode parse (null in heap mode). Valid until
-  /// the arena passed in ParserOptions::TreeArena is reset.
+  /// Root of the last parse's tree when it was built in
+  /// ParserOptions::TreeArena (null otherwise). Valid until that arena is
+  /// reset.
   const ArenaParseTree *arenaTree() const { return ArenaRoot; }
 
   /// True if the last parse() aborted because its deadline expired.
@@ -131,8 +127,9 @@ protected:
   // Rule frame ----------------------------------------------------------------
 
   /// Parses starting at \p RuleName (or the grammar's first rule when
-  /// empty). Returns the (possibly partial) heap tree, or null in arena
-  /// mode; syntax errors go to the diagnostics engine.
+  /// empty). Returns the (possibly partial) owned tree, or null when the
+  /// tree went to ParserOptions::TreeArena; syntax errors go to the
+  /// diagnostics engine.
   template <class Engine>
   std::unique_ptr<ParseTree> parseWith(Engine &E, const std::string &RuleName);
 
@@ -215,12 +212,11 @@ protected:
 
   // Tree building ---------------------------------------------------------------
 
-  /// Appends a rule node / the upcoming token to \p Parent in whichever
-  /// allocation mode is active.
+  /// Appends a rule node / the upcoming token to \p Parent (non-null).
   NodeRef addRuleChild(NodeRef Parent, int32_t RuleIndex);
   void addTokenChild(NodeRef Parent);
-  /// Error-leaf variants: the upcoming token as a Skipped leaf, a conjured
-  /// \p Missing token, or a zero-width marker.
+  /// Error-leaf variants, no-ops on a null \p Parent: the upcoming token as
+  /// a Skipped leaf, a conjured \p Missing token, or a zero-width marker.
   void addErrorTokenChild(NodeRef Parent);
   void addMissingTokenChild(NodeRef Parent, TokenType Missing);
   void addMarkerChild(NodeRef Parent);
@@ -394,6 +390,9 @@ protected:
   /// Predicate/action names already reported as unbound (warn once).
   std::unordered_set<std::string> ReportedUnbound;
   bool LastParseOk = false;
+  /// The arena this parse builds into: ParserOptions::TreeArena, or the
+  /// returned ParseTree's own.
+  Arena *NodeArena = nullptr;
   ArenaParseTree *ArenaRoot = nullptr;
   /// ParserOptions::Deadline is max(): \ref deadlineOk never polls.
   bool NoDeadline = false;
@@ -405,17 +404,18 @@ protected:
 
 private:
   /// parse() prologue: resolves the start rule (reporting an unknown one
-  /// and returning -1), resets per-parse state and creates the root node.
+  /// and returning -1), resets per-parse state and creates the root node,
+  /// in \p Result unless the caller supplied an arena.
   int32_t beginParse(const std::string &RuleName,
-                     std::unique_ptr<ParseTree> &HeapRoot, NodeRef &Root);
+                     std::unique_ptr<ParseTree> &Result, NodeRef &Root);
 };
 
 template <class Engine>
 std::unique_ptr<ParseTree> ParserCore::parseWith(Engine &E,
                                                  const std::string &RuleName) {
-  std::unique_ptr<ParseTree> HeapRoot;
+  std::unique_ptr<ParseTree> Result;
   NodeRef Root;
-  int32_t Rule = beginParse(RuleName, HeapRoot, Root);
+  int32_t Rule = beginParse(RuleName, Result, Root);
   if (Rule < 0)
     return nullptr;
   unsigned ErrorsBefore = Diags.errorCount();
@@ -427,7 +427,7 @@ std::unique_ptr<ParseTree> ParserCore::parseWith(Engine &E,
     Ok = true;
   }
   LastParseOk = Ok && Diags.errorCount() == ErrorsBefore;
-  return HeapRoot;
+  return Result;
 }
 
 template <class Engine>
@@ -454,10 +454,10 @@ bool ParserCore::runRule(Engine &E, int32_t RuleIndex, int32_t Precedence,
 
   // Incremental reparse: splice a recorded subtree instead of running the
   // body when the subscriber vouches for it (see runtime/ReuseHooks.h).
-  if (Opts.Hooks && !speculating() && Parent.InArena) {
+  if (Opts.Hooks && !speculating() && Parent) {
     ReuseHooks::Splice Sp;
     if (Opts.Hooks->tryReuse(RuleIndex, Precedence, Stream.index(), Sp)) {
-      Parent.InArena->addChild(Sp.InArena);
+      Parent.Tree->addChild(Sp.Node);
       Stream.seek(Sp.NextIndex);
       InsertionsSinceConsume = 0;
       ++Stats.NodesReused;
@@ -489,7 +489,7 @@ bool ParserCore::runRule(Engine &E, int32_t RuleIndex, int32_t Precedence,
   }
 
   if (Hooked)
-    Opts.Hooks->exitRule(RuleIndex, Stream.index(), Node.InArena);
+    Opts.Hooks->exitRule(RuleIndex, Stream.index(), Node.Tree);
 
   if (UseMemo)
     Memo[Key] = Ok ? Stream.index() : -1;

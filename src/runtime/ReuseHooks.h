@@ -50,7 +50,7 @@ public:
   /// arena the parse builds into, and the stream index just past its last
   /// consumed token.
   struct Splice {
-    ArenaParseTree *InArena = nullptr;
+    ArenaParseTree *Node = nullptr;
     int64_t NextIndex = -1;
   };
 
@@ -67,8 +67,8 @@ public:
 
   /// The invocation announced by the matching enterRule finished (possibly
   /// after recovery resync). \p NextIndex is the stream index after the
-  /// rule; \p Node is the freshly built arena node (null when the parse
-  /// builds no arena tree).
+  /// rule; \p Node is the freshly built node (null when the parse builds no
+  /// tree).
   virtual void exitRule(int32_t Rule, int64_t NextIndex,
                         ArenaParseTree *Node) = 0;
 

@@ -1,23 +1,22 @@
 #include "runtime/TreeUtils.h"
 
-#include "support/StringUtils.h"
-
 using namespace llstar;
 
-void llstar::walkTree(const ParseTree &Root, const TreeListener &Listener) {
+void llstar::walkTree(const ArenaParseTree &Root,
+                      const TreeListener &Listener) {
   if (Listener.Enter && !Listener.Enter(Root))
     return;
-  for (const auto &Child : Root.children())
-    walkTree(*Child, Listener);
+  for (const ArenaParseTree *C = Root.firstChild(); C; C = C->nextSibling())
+    walkTree(*C, Listener);
   if (Listener.Exit)
     Listener.Exit(Root);
 }
 
-std::vector<const ParseTree *>
-llstar::collectRuleNodes(const ParseTree &Root, int32_t RuleIndex) {
-  std::vector<const ParseTree *> Result;
+std::vector<const ArenaParseTree *>
+llstar::collectRuleNodes(const ArenaParseTree &Root, int32_t RuleIndex) {
+  std::vector<const ArenaParseTree *> Result;
   TreeListener L;
-  L.Enter = [&](const ParseTree &N) {
+  L.Enter = [&](const ArenaParseTree &N) {
     if (!N.isToken() && N.ruleIndex() == RuleIndex)
       Result.push_back(&N);
     return true;
@@ -26,67 +25,19 @@ llstar::collectRuleNodes(const ParseTree &Root, int32_t RuleIndex) {
   return Result;
 }
 
-std::string llstar::treeText(const ParseTree &Root) {
+std::string llstar::treeText(const ArenaParseTree &Root,
+                             const TokenStream &Tokens) {
   std::string Out;
   TreeListener L;
-  L.Enter = [&](const ParseTree &N) {
-    if (N.isToken()) {
+  L.Enter = [&](const ArenaParseTree &N) {
+    if (N.isToken() && N.errorKind() != ErrorNodeKind::Missing &&
+        N.errorKind() != ErrorNodeKind::Marker) {
       if (!Out.empty())
         Out += ' ';
-      Out += N.token().Text;
+      Out += Tokens.at(N.tokenIndex()).Text;
     }
     return true;
   };
   walkTree(Root, L);
-  return Out;
-}
-
-size_t llstar::treeDepth(const ParseTree &Root) {
-  size_t Best = 0;
-  for (const auto &Child : Root.children())
-    Best = std::max(Best, treeDepth(*Child));
-  return Best + 1;
-}
-
-static void renderIndented(const ParseTree &N, const Grammar &G,
-                           size_t Depth, std::string &Out) {
-  Out.append(Depth * 2, ' ');
-  if (N.isToken())
-    Out += "'" + escapeString(N.token().Text) + "' @" + N.token().Loc.str();
-  else
-    Out += N.ruleIndex() >= 0 ? G.rule(N.ruleIndex()).Name : "<scratch>";
-  Out += '\n';
-  for (const auto &Child : N.children())
-    renderIndented(*Child, G, Depth + 1, Out);
-}
-
-std::string llstar::treeToIndentedString(const ParseTree &Root,
-                                         const Grammar &G) {
-  std::string Out;
-  renderIndented(Root, G, 0, Out);
-  return Out;
-}
-
-static void renderDot(const ParseTree &N, const Grammar &G, int &NextId,
-                      int MyId, std::string &Out) {
-  if (N.isToken())
-    Out += formatString("  n%d [shape=box, label=\"%s\"];\n", MyId,
-                        escapeString(N.token().Text).c_str());
-  else
-    Out += formatString(
-        "  n%d [label=\"%s\"];\n", MyId,
-        N.ruleIndex() >= 0 ? G.rule(N.ruleIndex()).Name.c_str() : "?");
-  for (const auto &Child : N.children()) {
-    int ChildId = ++NextId;
-    Out += formatString("  n%d -> n%d;\n", MyId, ChildId);
-    renderDot(*Child, G, NextId, ChildId, Out);
-  }
-}
-
-std::string llstar::treeToDot(const ParseTree &Root, const Grammar &G) {
-  std::string Out = "digraph parsetree {\n  node [fontname=monospace];\n";
-  int NextId = 0;
-  renderDot(Root, G, NextId, 0, Out);
-  Out += "}\n";
   return Out;
 }

@@ -5,16 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Convenience utilities over \ref ParseTree: depth-first walking with
-/// enter/exit callbacks, node collection by rule, token-text extraction,
-/// and indented/dot renderings for debugging and tooling.
+/// Convenience utilities over \ref ArenaParseTree: depth-first walking with
+/// enter/exit callbacks, node collection by rule, and token-text
+/// extraction.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef LLSTAR_RUNTIME_TREEUTILS_H
 #define LLSTAR_RUNTIME_TREEUTILS_H
 
-#include "runtime/ParseTree.h"
+#include "runtime/ArenaParseTree.h"
 
 #include <functional>
 #include <string>
@@ -25,32 +25,24 @@ namespace llstar {
 /// Callbacks for \ref walkTree. Either may be null.
 struct TreeListener {
   /// Called before a node's children; return false to skip the subtree.
-  std::function<bool(const ParseTree &)> Enter;
+  std::function<bool(const ArenaParseTree &)> Enter;
   /// Called after a node's children.
-  std::function<void(const ParseTree &)> Exit;
+  std::function<void(const ArenaParseTree &)> Exit;
 };
 
 /// Depth-first traversal with enter/exit events (the listener pattern of
 /// ANTLR-generated walkers).
-void walkTree(const ParseTree &Root, const TreeListener &Listener);
+void walkTree(const ArenaParseTree &Root, const TreeListener &Listener);
 
 /// All descendants (including \p Root) that are applications of rule
 /// \p RuleIndex, in document order.
-std::vector<const ParseTree *> collectRuleNodes(const ParseTree &Root,
-                                                int32_t RuleIndex);
+std::vector<const ArenaParseTree *>
+collectRuleNodes(const ArenaParseTree &Root, int32_t RuleIndex);
 
-/// Concatenated text of all token leaves under \p Root, separated by
-/// single spaces.
-std::string treeText(const ParseTree &Root);
-
-/// Depth of the deepest leaf (a single node has depth 1).
-size_t treeDepth(const ParseTree &Root);
-
-/// Indented multi-line rendering; one node per line.
-std::string treeToIndentedString(const ParseTree &Root, const Grammar &G);
-
-/// Graphviz rendering of the tree.
-std::string treeToDot(const ParseTree &Root, const Grammar &G);
+/// Concatenated text of the token leaves under \p Root, looked up in
+/// \p Tokens and separated by single spaces. Missing and marker error
+/// leaves match no input and are left out.
+std::string treeText(const ArenaParseTree &Root, const TokenStream &Tokens);
 
 } // namespace llstar
 

@@ -114,7 +114,7 @@ struct ParseResult {
   /// (line, column).
   std::vector<Diagnostic> Errors;
   int64_t NumTokens = 0;
-  /// Tree nodes built (arena mode); 0 when no tree was requested.
+  /// Nodes of the parse tree; 0 when no tree was requested.
   int64_t TreeNodes = 0;
   double ParseMillis = 0;
 

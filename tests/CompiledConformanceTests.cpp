@@ -9,7 +9,7 @@
 //     same sampled sentences + mutants FuzzRegressionTests replays),
 //     with and without error recovery,
 //   - against the recovery golden snapshots of the shipped grammars
-//     (tests/golden/recovery/*.txt trees, heap and arena both, and
+//     (tests/golden/recovery/*.txt trees, owned and caller arena both, and
 //     *.diag diagnostics text plus repair counters),
 //   - through the checked-in compiled modules: every shipped grammar must
 //     hash-match its registered module (stale modules fail here *and* in
@@ -83,9 +83,9 @@ struct Capture {
   bool Ok = false;
   bool DeadlineHit = false;
   std::string DiagText;
-  std::string HeapTree;
+  std::string OwnedTree;
   std::string ArenaTree;
-  size_t HeapErrorNodes = 0;
+  size_t OwnedErrorNodes = 0;
   std::string StatsJson; ///< full per-decision stats, serialized
   std::string DiagSnapshot; ///< diagnostics + repair counters (.diag form)
 };
@@ -111,8 +111,8 @@ Capture runInterpreted(const AnalyzedGrammar &AG, const std::string &Input,
     C.StatsJson = P.stats().json(/*IncludeDecisions=*/true);
     C.DiagSnapshot = recoveryDiagSnapshot(C.DiagText, P.stats());
     if (Tree) {
-      C.HeapTree = Tree->str(AG.grammar());
-      C.HeapErrorNodes = Tree->numErrorNodes();
+      C.OwnedTree = Tree->str(AG.grammar());
+      C.OwnedErrorNodes = Tree->numErrorNodes();
     }
   }
   {
@@ -154,8 +154,8 @@ Capture runCompiled(const AnalyzedGrammar &AG,
     C.StatsJson = P.stats().json(/*IncludeDecisions=*/true);
     C.DiagSnapshot = recoveryDiagSnapshot(C.DiagText, P.stats());
     if (Tree) {
-      C.HeapTree = Tree->str(AG.grammar());
-      C.HeapErrorNodes = Tree->numErrorNodes();
+      C.OwnedTree = Tree->str(AG.grammar());
+      C.OwnedErrorNodes = Tree->numErrorNodes();
     }
   }
   {
@@ -178,9 +178,9 @@ void expectIdentical(const Capture &Int, const Capture &Cmp,
   EXPECT_EQ(Int.Ok, Cmp.Ok) << Context;
   EXPECT_EQ(Int.DeadlineHit, Cmp.DeadlineHit) << Context;
   EXPECT_EQ(Int.DiagText, Cmp.DiagText) << Context;
-  EXPECT_EQ(Int.HeapTree, Cmp.HeapTree) << Context;
+  EXPECT_EQ(Int.OwnedTree, Cmp.OwnedTree) << Context;
   EXPECT_EQ(Int.ArenaTree, Cmp.ArenaTree) << Context;
-  EXPECT_EQ(Int.HeapErrorNodes, Cmp.HeapErrorNodes) << Context;
+  EXPECT_EQ(Int.OwnedErrorNodes, Cmp.OwnedErrorNodes) << Context;
   EXPECT_EQ(Int.StatsJson, Cmp.StatsJson) << Context;
 }
 
@@ -263,14 +263,14 @@ TEST(CompiledConformance, GoldenRecoveredTreesMatchSnapshots) {
     Capture Cmp =
         runCompiled(*AG, Tables.view(), nullptr, C.Input, /*Recover=*/true);
     EXPECT_FALSE(Cmp.Ok);
-    EXPECT_GE(Cmp.HeapErrorNodes, 1u) << Cmp.HeapTree;
-    EXPECT_EQ(Cmp.ArenaTree, Cmp.HeapTree);
+    EXPECT_GE(Cmp.OwnedErrorNodes, 1u) << Cmp.OwnedTree;
+    EXPECT_EQ(Cmp.ArenaTree, Cmp.OwnedTree);
 
     std::string Expected =
         slurp(std::filesystem::path(LLSTAR_SOURCE_DIR) / "tests" / "golden" /
               "recovery" / (std::string(C.Grammar) + ".txt"));
     ASSERT_FALSE(Expected.empty());
-    EXPECT_EQ(std::string(C.Input) + "\n" + Cmp.HeapTree + "\n", Expected)
+    EXPECT_EQ(std::string(C.Input) + "\n" + Cmp.OwnedTree + "\n", Expected)
         << "compiled recovery diverges from the committed golden snapshot";
     std::string ExpectedDiag =
         slurp(std::filesystem::path(LLSTAR_SOURCE_DIR) / "tests" / "golden" /

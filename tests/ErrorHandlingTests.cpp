@@ -71,7 +71,7 @@ A:'a'; B:'b'; C:'c'; D:'d';
   EXPECT_FALSE(P.ok());
   // Without recovery the parse stops at the first mismatch: only 'a'
   // made it into the tree.
-  EXPECT_EQ(Tree->numTokens(), 1u);
+  EXPECT_EQ(numTokenLeaves(*Tree->root()), 1u);
 }
 
 TEST(Errors, ErrorsDoNotFireDuringSpeculation) {
@@ -193,7 +193,7 @@ WS : [ \n]+ -> skip ;
   auto Tree = P.parse("prog");
   EXPECT_FALSE(P.ok());
   EXPECT_EQ(Diags.errorCount(), 1u) << Diags.str();
-  EXPECT_EQ(Tree->numChildren(), 4u); // 3 stmts + EOF leaf
+  EXPECT_EQ(Tree->root()->numChildren(), 4u); // 3 stmts + EOF leaf
 }
 
 } // namespace

@@ -443,8 +443,9 @@ TEST(IncrementalSessionTest, TokenViewsFollowTheTextWhenItReallocates) {
   }
 }
 
-// Heap trees own their token text: a tree, recovered `<missing X>` leaf
-// included, renders the same after its input string is gone.
+// The tree parse() returns owns a copy of its token text: it renders, and
+// its leaves look up their tokens, the same after the input string is gone
+// (a recovered `<missing X>` leaf included).
 TEST(HeapTreeTest, RendersAfterItsInputIsDestroyed) {
   auto Bundle = bundleOrFail(ExprGrammar);
   const AnalyzedGrammar &AG = Bundle->analyzed();
@@ -476,6 +477,10 @@ TEST(HeapTreeTest, RendersAfterItsInputIsDestroyed) {
         << Expected;
     EXPECT_NE(Expected.find("alpha"), std::string::npos) << Expected;
     EXPECT_EQ(Tree->str(AG.grammar()), Expected);
+    const ArenaParseTree *First = Tree->root()->firstChild();
+    while (!First->isToken())
+      First = First->firstChild();
+    EXPECT_EQ(Tree->token(*First).Text, "(");
   }
 }
 

@@ -141,25 +141,27 @@ WS : [ \t\r\n]+ -> skip ;
 
   // Evaluate the loop-form parse tree: first child is the head operand,
   // then (op, operand) pairs applied left-to-right.
-  std::function<long(const ParseTree *)> Eval =
-      [&](const ParseTree *N) -> long {
+  const ParseTree *Tree = nullptr; // owns the token texts
+  auto TextOf = [&](const ArenaParseTree *N) {
+    return N->isToken() ? Tree->token(*N).Text : std::string_view();
+  };
+  std::function<long(const ArenaParseTree *)> Eval =
+      [&](const ArenaParseTree *N) -> long {
     if (N->isToken())
-      return std::strtol(N->text().c_str(), nullptr, 10);
-    size_t I = 0;
+      return std::strtol(std::string(TextOf(N)).c_str(), nullptr, 10);
     long V = 0;
+    const ArenaParseTree *C = N->firstChild();
     // Parenthesized head: "(" e ")".
-    if (N->child(0)->isToken() && N->child(0)->token().Text == "(") {
-      V = Eval(N->child(1));
-      I = 3;
+    if (TextOf(C) == "(") {
+      V = Eval(C->nextSibling());
+      C = C->nextSibling()->nextSibling()->nextSibling();
     } else {
-      V = Eval(N->child(0));
-      I = 1;
+      V = Eval(C);
+      C = C->nextSibling();
     }
-    while (I + 1 < N->numChildren() + 1 && I < N->numChildren()) {
-      const std::string &Op = N->child(I)->text();
-      long R = Eval(N->child(I + 1));
-      V = Op == "*" ? V * R : V + R;
-      I += 2;
+    for (; C && C->nextSibling(); C = C->nextSibling()->nextSibling()) {
+      long R = Eval(C->nextSibling());
+      V = TextOf(C) == "*" ? V * R : V + R;
     }
     return V;
   };
@@ -168,10 +170,10 @@ WS : [ \t\r\n]+ -> skip ;
     TokenStream Stream = lexOrFail(*AG, Input);
     DiagnosticEngine Diags;
     LLStarParser P(*AG, Stream, nullptr, Diags);
-    auto Tree = P.parse("e");
+    auto Parsed = P.parse("e");
     ASSERT_TRUE(P.ok()) << Diags.str();
-    EXPECT_EQ(Eval(Tree->child(0) ? Tree.get() : Tree.get()), Expected)
-        << Input;
+    Tree = Parsed.get();
+    EXPECT_EQ(Eval(Tree->root()), Expected) << Input;
   };
 
   Check("1+2*3", 7);

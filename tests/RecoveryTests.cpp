@@ -3,10 +3,10 @@
 // Coverage for the src/recover/ subsystem and its runtime integration:
 // the analysis-time follow/recovery tables, the pluggable repair strategy
 // (single-token deletion, single-token insertion, sync-and-return panic
-// mode), error leaves with exact source spans in both heap and arena
-// trees, termination on pathological input, repair counters, the bundle
-// `recover` payload section, and golden recovered-tree snapshots for every
-// shipped grammar.
+// mode), error leaves with exact source spans in both owned and
+// caller-arena trees, termination on pathological input, repair counters,
+// the bundle `recover` payload section, and golden recovered-tree
+// snapshots for every shipped grammar.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,14 +34,15 @@ namespace {
 // Helpers
 //===----------------------------------------------------------------------===//
 
-/// Both tree modes of one recovering parse, plus everything the tests
-/// assert on. Heap and arena parses run back to back on copies of the same
-/// token stream; they must agree exactly.
+/// One recovering parse built both ways — into the owned result and into a
+/// caller arena — plus everything the tests assert on. The two parses run
+/// back to back on copies of the same token stream; they must agree
+/// exactly.
 struct RecoveredParse {
   bool Ok = false;
   size_t Errors = 0;
   size_t ErrorNodes = 0;
-  std::string HeapTree;
+  std::string OwnedTree;
   std::string ArenaTree;
   std::string DiagText;
   ParserStats Stats;
@@ -63,7 +64,7 @@ RecoveredParse parseRecovering(const AnalyzedGrammar &AG,
     R.DiagText = Diags.str();
     R.Stats = P.stats();
     if (Tree) {
-      R.HeapTree = Tree->str(AG.grammar());
+      R.OwnedTree = Tree->str(AG.grammar());
       R.ErrorNodes = Tree->numErrorNodes();
     }
   }
@@ -178,8 +179,8 @@ A:'a'; B:'b'; C:'c'; D:'d';
   EXPECT_FALSE(R.Ok);
   EXPECT_EQ(R.Errors, 1u) << R.DiagText;
   EXPECT_EQ(R.ErrorNodes, 1u);
-  EXPECT_EQ(R.HeapTree, "(a a (error d) b c)");
-  EXPECT_EQ(R.ArenaTree, R.HeapTree);
+  EXPECT_EQ(R.OwnedTree, "(a a (error d) b c)");
+  EXPECT_EQ(R.ArenaTree, R.OwnedTree);
   EXPECT_EQ(R.Stats.TokensDeleted, 1);
   EXPECT_EQ(R.Stats.TokensInserted, 0);
   EXPECT_TRUE(R.DiagText.find("deleted 'd' to recover") != std::string::npos)
@@ -198,8 +199,8 @@ WS : [ ]+ -> skip ;
   EXPECT_FALSE(R.Ok);
   EXPECT_EQ(R.Errors, 1u) << R.DiagText;
   EXPECT_EQ(R.ErrorNodes, 1u);
-  EXPECT_EQ(R.HeapTree, "(s if (error <missing '('>) x ))");
-  EXPECT_EQ(R.ArenaTree, R.HeapTree);
+  EXPECT_EQ(R.OwnedTree, "(s if (error <missing '('>) x ))");
+  EXPECT_EQ(R.ArenaTree, R.OwnedTree);
   EXPECT_EQ(R.Stats.TokensInserted, 1);
   EXPECT_EQ(R.Stats.TokensDeleted, 0);
 }
@@ -221,12 +222,12 @@ WS : [ \n]+ -> skip ;
   EXPECT_FALSE(R.Ok);
   EXPECT_GE(R.Errors, 1u) << R.DiagText;
   EXPECT_GE(R.ErrorNodes, 1u);
-  EXPECT_EQ(R.ArenaTree, R.HeapTree);
+  EXPECT_EQ(R.ArenaTree, R.OwnedTree);
   // Both intact statements survive in the partial tree.
-  EXPECT_TRUE(R.HeapTree.find("(stmt a = 1 ;)") != std::string::npos)
-      << R.HeapTree;
-  EXPECT_TRUE(R.HeapTree.find("(stmt b = 2 ;)") != std::string::npos)
-      << R.HeapTree;
+  EXPECT_TRUE(R.OwnedTree.find("(stmt a = 1 ;)") != std::string::npos)
+      << R.OwnedTree;
+  EXPECT_TRUE(R.OwnedTree.find("(stmt b = 2 ;)") != std::string::npos)
+      << R.OwnedTree;
   EXPECT_GE(R.Stats.PanicSyncs, 1);
 }
 
@@ -251,8 +252,8 @@ WS : [ \n]+ -> skip ;
     RecoveredParse R = parseRecovering(*AG, Input, "prog");
     EXPECT_FALSE(R.Ok) << Input;
     EXPECT_GE(R.Errors, 1u) << Input;
-    EXPECT_GE(R.ErrorNodes, 1u) << Input << "\n" << R.HeapTree;
-    EXPECT_EQ(R.ArenaTree, R.HeapTree) << Input;
+    EXPECT_GE(R.ErrorNodes, 1u) << Input << "\n" << R.OwnedTree;
+    EXPECT_EQ(R.ArenaTree, R.OwnedTree) << Input;
   }
 }
 
@@ -272,7 +273,7 @@ A:'a'; B:'b'; D:'d';
   EXPECT_FALSE(R.Ok);
   EXPECT_GE(R.Errors, 1u);
   EXPECT_GE(R.ErrorNodes, 1u);
-  EXPECT_EQ(R.ArenaTree, R.HeapTree);
+  EXPECT_EQ(R.ArenaTree, R.OwnedTree);
 }
 
 TEST(Recovery, InsertionCapForcesProgress) {
@@ -288,7 +289,7 @@ A:'a'; B:'b';
   RecoveredParse R = parseRecovering(*AG, "aaaa", "s");
   EXPECT_FALSE(R.Ok);
   EXPECT_GE(R.Errors, 1u);
-  EXPECT_EQ(R.ArenaTree, R.HeapTree);
+  EXPECT_EQ(R.ArenaTree, R.OwnedTree);
 }
 
 TEST(Recovery, NotesStaySilentDuringSpeculation) {
@@ -370,7 +371,7 @@ TEST(RecoveryBundle, RoundTripPreservesRecoveryTables) {
   LLStarParser P(*CG->AG, Stream, nullptr, ParseDiags, Opts);
   auto Tree = P.parse("prog");
   ASSERT_TRUE(Tree);
-  EXPECT_EQ(Tree->str(CG->AG->grammar()), Orig.HeapTree);
+  EXPECT_EQ(Tree->str(CG->AG->grammar()), Orig.OwnedTree);
   EXPECT_EQ(ParseDiags.errorCount(), Orig.Errors);
 }
 
@@ -514,15 +515,15 @@ TEST(Recovery, GoldenTreesForShippedGrammars) {
     RecoveredParse R = parseRecovering(*AG, C.Input);
     EXPECT_FALSE(R.Ok) << C.Input;
     EXPECT_GE(R.Errors, 1u) << R.DiagText;
-    EXPECT_GE(R.ErrorNodes, 1u) << R.HeapTree;
-    EXPECT_EQ(R.ArenaTree, R.HeapTree);
+    EXPECT_GE(R.ErrorNodes, 1u) << R.OwnedTree;
+    EXPECT_EQ(R.ArenaTree, R.OwnedTree);
 
     // <g>.txt pins the recovered tree; <g>.diag pins the diagnostics text
     // and repair counters that produced it.
     std::string Base =
         std::string(LLSTAR_SOURCE_DIR) + "/tests/golden/recovery/" + C.Grammar;
     const std::pair<std::string, std::string> Snapshots[] = {
-        {".txt", std::string(C.Input) + "\n" + R.HeapTree + "\n"},
+        {".txt", std::string(C.Input) + "\n" + R.OwnedTree + "\n"},
         {".diag", recoveryDiagSnapshot(R.DiagText, R.Stats)}};
     for (const auto &[Ext, Actual] : Snapshots) {
       std::string GoldenPath = Base + Ext;

@@ -143,7 +143,7 @@ A:'a'; B:'b'; C:'c'; D:'d';
   // The spurious 'd' is reported and skipped; the rest parses.
   EXPECT_FALSE(P.ok());
   EXPECT_EQ(Diags.errorCount(), 1u);
-  EXPECT_EQ(Tree->numTokens(), 3u);
+  EXPECT_EQ(numTokenLeaves(*Tree->root()), 3u);
 }
 
 TEST(Runtime, SemanticPredicateDirectsParse) {

@@ -103,26 +103,26 @@ TEST(ArenaParseTreeTest, BuildsAndRendersLikeHeapTrees) {
   ASSERT_TRUE(AG);
   std::string Input = "1 + 2 * (3 - 4)";
 
-  // Heap mode.
+  // Owned result.
   TokenStream S1 = lexOrFail(*AG, Input);
   DiagnosticEngine D1;
   LLStarParser P1(*AG, S1, nullptr, D1);
-  auto HeapTree = P1.parse("");
+  auto OwnedTree = P1.parse("");
   ASSERT_TRUE(P1.ok()) << D1.str();
 
-  // Arena mode.
+  // Caller arena.
   Arena A;
   TokenStream S2 = lexOrFail(*AG, Input);
   DiagnosticEngine D2;
   ParserOptions Opts;
   Opts.TreeArena = &A;
   LLStarParser P2(*AG, S2, nullptr, D2, Opts);
-  auto NoHeapTree = P2.parse("");
+  auto NoOwnedTree = P2.parse("");
   ASSERT_TRUE(P2.ok()) << D2.str();
-  EXPECT_EQ(NoHeapTree, nullptr); // arena mode returns no heap tree
+  EXPECT_EQ(NoOwnedTree, nullptr); // a caller arena gets no owned tree
   ASSERT_NE(P2.arenaTree(), nullptr);
 
-  EXPECT_EQ(HeapTree->str(AG->grammar()),
+  EXPECT_EQ(OwnedTree->str(AG->grammar()),
             P2.arenaTree()->str(AG->grammar(), S2));
   EXPECT_GT(A.bytesUsed(), 0u);
   EXPECT_GT(P2.arenaTree()->size(), 1u);
@@ -232,7 +232,7 @@ TEST(ParseServiceTest, ParsesAndClassifiesResults) {
   ParseResult ROk = FOk.get();
   EXPECT_EQ(ROk.Status, ParseStatus::Ok);
   // The arena-built service tree renders byte-identically to a plain
-  // single-threaded heap parse.
+  // single-threaded one-shot parse.
   auto AG = analyzeOrFail(ExprGrammar);
   ASSERT_TRUE(AG);
   EXPECT_EQ(ROk.TreeText, parseToString(*AG, "1 + 2 * 3"));

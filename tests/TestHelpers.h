@@ -55,6 +55,17 @@ inline TokenStream lexOrFail(const AnalyzedGrammar &AG, const char *Input) {
 }
 TokenStream lexOrFail(const AnalyzedGrammar &, std::string &&) = delete;
 
+/// Number of token leaves under \p N; error leaves do not count (they
+/// are repair artifacts, not matched input).
+inline size_t numTokenLeaves(const ArenaParseTree &N) {
+  if (N.isToken())
+    return N.isError() ? 0 : 1;
+  size_t Count = 0;
+  for (const ArenaParseTree *C = N.firstChild(); C; C = C->nextSibling())
+    Count += numTokenLeaves(*C);
+  return Count;
+}
+
 /// Token type for a symbolic name ("ID"), a quoted literal ("'int'"), or
 /// "EOF".
 inline TokenType tokType(const AnalyzedGrammar &AG, const std::string &Name) {

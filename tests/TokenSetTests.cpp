@@ -136,39 +136,31 @@ A:'a'; B:'b';
   // Enter/exit pairing.
   int Enters = 0, Exits = 0;
   TreeListener L;
-  L.Enter = [&](const ParseTree &) {
+  L.Enter = [&](const ArenaParseTree &) {
     ++Enters;
     return true;
   };
-  L.Exit = [&](const ParseTree &) { ++Exits; };
-  walkTree(*Tree, L);
+  L.Exit = [&](const ArenaParseTree &) { ++Exits; };
+  walkTree(*Tree->root(), L);
   EXPECT_EQ(Enters, Exits);
   EXPECT_EQ(size_t(Enters), Tree->size());
 
   // Rule collection in document order.
-  auto As = collectRuleNodes(*Tree, AG->grammar().findRule("a"));
+  auto As = collectRuleNodes(*Tree->root(), AG->grammar().findRule("a"));
   EXPECT_EQ(As.size(), 2u);
 
-  EXPECT_EQ(treeText(*Tree), "a b a b");
-  EXPECT_EQ(treeDepth(*Tree), 3u); // s -> a -> token
+  EXPECT_EQ(treeText(*Tree->root(), Tree->tokens()), "a b a b");
+  EXPECT_EQ(treeText(*As[1], Tree->tokens()), "a b");
 
   // Subtree pruning via Enter returning false.
   int Visited = 0;
   TreeListener Prune;
-  Prune.Enter = [&](const ParseTree &N) {
+  Prune.Enter = [&](const ArenaParseTree &N) {
     ++Visited;
     return N.isToken() || N.ruleIndex() != AG->grammar().findRule("a");
   };
-  walkTree(*Tree, Prune);
+  walkTree(*Tree->root(), Prune);
   EXPECT_EQ(Visited, 3); // s + two pruned a nodes
-
-  // Renderings.
-  std::string Indented = treeToIndentedString(*Tree, AG->grammar());
-  EXPECT_NE(Indented.find("s\n  a\n"), std::string::npos) << Indented;
-  std::string Dot = treeToDot(*Tree, AG->grammar());
-  EXPECT_EQ(Dot.find("digraph"), 0u);
-  EXPECT_EQ(std::count(Dot.begin(), Dot.end(), '{'),
-            std::count(Dot.begin(), Dot.end(), '}'));
 }
 
 } // namespace

@@ -71,7 +71,7 @@ int usage() {
       "                      with error recovery on: asserts recovery\n"
       "                      terminates, reports >=1 error per rejected\n"
       "                      mutant, keeps error spans sorted, and renders\n"
-      "                      heap and arena trees identically\n"
+      "                      owned and caller-arena trees identically\n"
       "  --edit-smoke        drive an incremental session through random\n"
       "                      insert/delete/replace edit scripts (including\n"
       "                      token-splitting and trivia-spanning edits) and\n"
@@ -202,9 +202,9 @@ std::string checkRecoverOnce(const AnalyzedGrammar &AG,
     InLanguage = P.ok();
   }
 
-  // Heap-tree recovering parse.
-  std::string HeapTree;
-  size_t HeapErrorNodes = 0;
+  // Recovering parse into an owned tree (tokens copied).
+  std::string OwnedTree;
+  size_t OwnedErrorNodes = 0;
   size_t NumErrors = 0;
   {
     TokenStream Stream{std::vector<Token>(Tokens)};
@@ -227,8 +227,8 @@ std::string checkRecoverOnce(const AnalyzedGrammar &AG,
     if (NumErrors > 0 && Tree->numErrorNodes() == 0)
       return "syntax errors were reported but the partial tree has no "
              "error nodes";
-    HeapTree = Tree->str(AG.grammar());
-    HeapErrorNodes = Tree->numErrorNodes();
+    OwnedTree = Tree->str(AG.grammar());
+    OwnedErrorNodes = Tree->numErrorNodes();
 
     // Error spans must come back sorted by source position.
     SourceLocation Prev;
@@ -245,7 +245,8 @@ std::string checkRecoverOnce(const AnalyzedGrammar &AG,
     }
   }
 
-  // Arena-tree recovering parse: byte-identical rendering, same repairs.
+  // Recovering parse into a caller arena: byte-identical rendering, same
+  // repairs.
   {
     TokenStream Stream{std::vector<Token>(Tokens)};
     DiagnosticEngine Diags;
@@ -259,12 +260,12 @@ std::string checkRecoverOnce(const AnalyzedGrammar &AG,
     if (!P.arenaTree())
       return "arena recovering parse returned no tree";
     if (Diags.errorCount() != NumErrors)
-      return "heap and arena parses disagree on the error count";
-    if (P.arenaTree()->numErrorNodes() != HeapErrorNodes)
-      return "heap and arena trees disagree on error-node count";
+      return "owned and arena parses disagree on the error count";
+    if (P.arenaTree()->numErrorNodes() != OwnedErrorNodes)
+      return "owned and arena trees disagree on error-node count";
     std::string ArenaTree = P.arenaTree()->str(AG.grammar(), Stream);
-    if (ArenaTree != HeapTree)
-      return "heap tree <" + HeapTree + "> != arena tree <" + ArenaTree +
+    if (ArenaTree != OwnedTree)
+      return "owned tree <" + OwnedTree + "> != arena tree <" + ArenaTree +
              ">";
   }
   return "";
@@ -272,8 +273,9 @@ std::string checkRecoverOnce(const AnalyzedGrammar &AG,
 
 // --recover-smoke: derive minimal valid sentences per decision (SentenceGen
 // seeds, sampler fallback), mutate each 1-3 times, and parse every mutant
-// with recovery enabled in both heap and arena tree modes. Crashes and
-// hangs surface through the harness; invariant breaks fail here.
+// with recovery enabled, into an owned tree and into a caller arena.
+// Crashes and hangs surface through the harness; invariant breaks fail
+// here.
 int recoverSmoke(const FuzzConfig &Config, bool Quiet) {
   int Failures = 0;
   int Tested = 0;
