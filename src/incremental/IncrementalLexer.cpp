@@ -10,61 +10,14 @@ using namespace llstar::incremental;
 
 Lexeme IncrementalLexer::scanOne(std::string_view Text, int64_t Pos,
                                  uint32_t &Line, uint32_t &Col) const {
-  // The same fused walk as Lexer::tokenize: maximal munch with the
-  // position snapshotted at every accept, line/column tracking folded in.
-  // The one addition is LookEnd — how far the walk actually read.
-  const std::vector<regex::CharDfaState> &States = Lex.dfa().states();
   Lexeme L;
   L.Off = Pos;
   L.Line = Line;
   L.Col = Col;
-
-  int32_t State = 0;
-  int32_t Tag = States[0].AcceptTag;
-  int64_t BestLen = Tag >= 0 ? 0 : -1;
-  uint32_t BestLine = Line, BestCol = Col;
-  uint32_t CurLine = Line, CurCol = Col;
-  // Unless the walk dies on a byte below, it ran off the end of input
-  // with a live state: appended bytes could change the match, so the
-  // walk is charged with having examined the end itself.
-  int64_t LookEnd = int64_t(Text.size()) + 1;
-  for (size_t I = size_t(Pos); I < Text.size(); ++I) {
-    State = States[size_t(State)].Next[static_cast<unsigned char>(Text[I])];
-    if (State < 0) {
-      LookEnd = int64_t(I) + 1;
-      break;
-    }
-    if (Text[I] == '\n') {
-      ++CurLine;
-      CurCol = 0;
-    } else {
-      ++CurCol;
-    }
-    int32_t Accept = States[size_t(State)].AcceptTag;
-    if (Accept >= 0) {
-      BestLen = int64_t(I) - Pos + 1;
-      Tag = Accept;
-      BestLine = CurLine;
-      BestCol = CurCol;
-    }
-  }
-  L.LookEnd = LookEnd;
-  if (BestLen <= 0) {
-    // Unrecognized byte: the batch lexer reports and skips exactly one.
-    L.Tag = -1;
-    L.Len = 1;
-    if (Text[size_t(Pos)] == '\n') {
-      ++Line;
-      Col = 0;
-    } else {
-      ++Col;
-    }
-    return L;
-  }
-  L.Tag = Tag;
-  L.Len = BestLen;
-  Line = BestLine;
-  Col = BestCol;
+  Lexer::Step S = Lex.scan(Text, size_t(Pos), Line, Col);
+  L.Tag = S.Tag;
+  L.Len = S.Len;
+  L.LookEnd = S.LookEnd;
   return L;
 }
 

@@ -41,67 +41,31 @@ std::vector<Token> Lexer::tokenize(std::string_view Input,
                                    std::vector<Token> *HiddenOut) const {
   std::vector<Token> Result;
   Result.reserve(reserveHint(Input.size()));
-  const std::vector<regex::CharDfaState> &States = Dfa.states();
   size_t Pos = 0;
   uint32_t Line = 1, Column = 0;
 
   while (Pos < Input.size()) {
-    // One fused pass per token: the maximal-munch DFA walk (see
-    // CharDfa::matchLongestPrefix) with line/column tracking folded in.
-    // The walk may overshoot the last accept before dying, so the
-    // position is snapshotted at every accept and restored from the
-    // snapshot instead of re-walking the matched bytes.
-    int32_t State = 0;
-    int32_t Tag = States[0].AcceptTag;
-    int64_t BestLen = Tag >= 0 ? 0 : -1;
-    uint32_t BestLine = Line, BestCol = Column;
-    uint32_t CurLine = Line, CurCol = Column;
-    for (size_t I = Pos; I < Input.size(); ++I) {
-      State = States[size_t(State)].Next[static_cast<unsigned char>(Input[I])];
-      if (State < 0)
-        break;
-      if (Input[I] == '\n') {
-        ++CurLine;
-        CurCol = 0;
-      } else {
-        ++CurCol;
-      }
-      int32_t Accept = States[size_t(State)].AcceptTag;
-      if (Accept >= 0) {
-        BestLen = int64_t(I - Pos) + 1;
-        Tag = Accept;
-        BestLine = CurLine;
-        BestCol = CurCol;
-      }
-    }
-    if (BestLen <= 0) {
-      Diags.error(SourceLocation(Line, Column),
+    SourceLocation Start(Line, Column);
+    Step S = scan(Input, Pos, Line, Column);
+    if (S.Tag < 0) {
+      Diags.error(Start,
                   "unrecognized character '" + escapeChar(Input[Pos]) + "'");
-      if (Input[Pos] == '\n') {
-        ++Line;
-        Column = 0;
-      } else {
-        ++Column;
-      }
       ++Pos;
       continue;
     }
-    LexerAction Action = Actions[size_t(Tag)];
+    LexerAction Action = Actions[size_t(S.Tag)];
     if (Action == LexerAction::Emit) {
-      Result.push_back(Token::lexed(Input, Types[size_t(Tag)], int64_t(Pos),
-                                    BestLen, SourceLocation(Line, Column)));
+      Result.push_back(Token::lexed(Input, Types[size_t(S.Tag)], int64_t(Pos),
+                                    S.Len, Start));
       Result.back().Index = int64_t(Result.size()) - 1;
     } else if (Action == LexerAction::Hidden && HiddenOut) {
-      HiddenOut->push_back(Token::lexed(Input, Types[size_t(Tag)],
-                                        int64_t(Pos), BestLen,
-                                        SourceLocation(Line, Column)));
+      HiddenOut->push_back(Token::lexed(Input, Types[size_t(S.Tag)],
+                                        int64_t(Pos), S.Len, Start));
       HiddenOut->back().Channel = TokenChannel::Hidden;
     }
     // Hidden and Skip tokens are both invisible to the parsers; hidden
     // ones are preserved in HiddenOut for trivia-aware tooling.
-    Pos += size_t(BestLen);
-    Line = BestLine;
-    Column = BestCol;
+    Pos += size_t(S.Len);
   }
 
   Result.push_back(
