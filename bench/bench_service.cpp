@@ -4,8 +4,10 @@
 //
 //   1. throughput scaling — the same workload pushed through ParseService
 //      with 1, 2, 4, and 8 workers (tokens/s and speedup over 1 thread);
-//   2. arena vs heap parse trees — single-threaded LLStarParser over the
-//      identical inputs, tree building on, with and without an Arena.
+//   2. owned vs caller-arena parse trees — single-threaded LLStarParser
+//      over the identical inputs, tree building on: the tree parse()
+//      returns (a fresh arena plus a copy of the tokens) against a caller
+//      arena recycled between parses.
 //
 // Workloads are the Basic and Sql benchmark grammars (predicate-free, so
 // the service needs no SemanticEnv). `--json FILE` records the results;
@@ -18,6 +20,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "common/BenchGrammars.h"
+#include "common/BenchHarness.h"
 
 #include "runtime/Arena.h"
 #include "runtime/LLStarParser.h"
@@ -54,7 +57,7 @@ struct GrammarReport {
   std::string Name;
   int64_t Tokens = 0; // per full pass over the workload
   std::vector<ScalingRow> Scaling;
-  double HeapSeconds = 0, ArenaSeconds = 0;
+  double OwnedSeconds = 0, ArenaSeconds = 0;
   double ArenaSpeedup = 0;
 };
 
@@ -96,7 +99,8 @@ double timedServicePass(const std::shared_ptr<const GrammarBundle> &Bundle,
 }
 
 /// Best-of-N single-threaded parse over the workload, tree building on.
-/// With \p InArena, trees go to a recycled arena; otherwise the heap.
+/// With \p InArena, trees go to a recycled caller arena; otherwise each
+/// parse returns an owned tree.
 double timedDirectPass(const AnalyzedGrammar &AG,
                        std::vector<TokenStream> &Streams,
                        const std::string &StartRule, bool InArena,
@@ -195,22 +199,21 @@ int main(int Argc, char **Argv) {
                   Row.TokensPerSec, Row.Speedup);
     }
 
-    Report.HeapSeconds =
+    Report.OwnedSeconds =
         timedDirectPass(Bundle->analyzed(), Streams, Spec.StartRule,
                         /*InArena=*/false, Repeat);
     Report.ArenaSeconds =
         timedDirectPass(Bundle->analyzed(), Streams, Spec.StartRule,
                         /*InArena=*/true, Repeat);
-    Report.ArenaSpeedup = Report.HeapSeconds / Report.ArenaSeconds;
-    std::printf("  trees:   heap %.4fs, arena %.4fs (%.2fx)\n\n",
-                Report.HeapSeconds, Report.ArenaSeconds,
+    Report.ArenaSpeedup = Report.OwnedSeconds / Report.ArenaSeconds;
+    std::printf("  trees:   owned %.4fs, arena %.4fs (%.2fx)\n\n",
+                Report.OwnedSeconds, Report.ArenaSeconds,
                 Report.ArenaSpeedup);
     Reports.push_back(std::move(Report));
   }
 
   if (!JsonPath.empty()) {
-    std::string Out = "{\n  \"hardwareThreads\": " +
-                      std::to_string(std::thread::hardware_concurrency()) +
+    std::string Out = "{\n  \"host\": " + bench::hostJson() +
                       ",\n  \"inputs\": " + std::to_string(Inputs) +
                       ",\n  \"units\": " + std::to_string(Units) +
                       ",\n  \"grammars\": [\n";
@@ -236,9 +239,9 @@ int main(int Argc, char **Argv) {
         Out += Buf;
       }
       std::snprintf(Buf, sizeof(Buf),
-                    "],\n     \"treeHeapSeconds\": %.4f, "
+                    "],\n     \"treeOwnedSeconds\": %.4f, "
                     "\"treeArenaSeconds\": %.4f, \"arenaSpeedup\": %.2f}%s\n",
-                    R.HeapSeconds, R.ArenaSeconds, R.ArenaSpeedup,
+                    R.OwnedSeconds, R.ArenaSeconds, R.ArenaSpeedup,
                     G + 1 < Reports.size() ? "," : "");
       Out += Buf;
     }
