@@ -105,8 +105,7 @@ int main() {
     for (size_t D = 0; D < AG->numDecisions(); ++D)
       TotalStates += AG->dfa(int32_t(D)).numStates();
 
-    DiagnosticEngine LexDiags;
-    Lexer L(AG->grammar().lexerSpec(), LexDiags);
+    const Lexer &L = AG->lexer();
     std::string Input = generateC(150, 3);
     DiagnosticEngine PD;
     TokenStream Stream(L.tokenize(Input, PD));

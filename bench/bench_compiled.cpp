@@ -2,10 +2,11 @@
 //
 // Measures the ahead-of-time compiled parser fast path (src/compiled/,
 // grammars/compiled/) against the interpreting runtime on every shipped
-// grammar, split the way the subsystem is layered:
+// grammar:
 //
-//   1. lexer — the grammar's spec-compiled CharDfa vs the generated dense
-//      byte-DFA tables of the registered module (tokens/s);
+//   1. lexer — the grammar's one compiled lexer (AnalyzedGrammar::lexer),
+//      which both engines share (tokens/s; no comparison: modules carry no
+//      lexer of their own);
 //   2. full parse — LLStarParser vs CompiledParser over the same token
 //      stream, trees and stats off, so the number isolates prediction and
 //      matching throughput (the layer the dense tables and generated
@@ -24,8 +25,8 @@
 #include "codegen/Serializer.h"
 #include "compiled/CompiledParser.h"
 #include "compiled/CompiledRegistry.h"
-#include "lexer/Lexer.h"
 #include "lexer/TokenStream.h"
+#include "support/StringUtils.h"
 #include "runtime/LLStarParser.h"
 
 #include "BenchHarness.h"
@@ -35,7 +36,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -159,13 +159,6 @@ const Workload Workloads[] = {
 // Timing
 //===----------------------------------------------------------------------===//
 
-std::string readFile(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  std::ostringstream Out;
-  Out << In.rdbuf();
-  return Out.str();
-}
-
 /// Best-of-N wall time of \p Fn.
 template <class FnT> double bestOf(int Repeat, FnT &&Fn) {
   double Best = 1e9;
@@ -195,7 +188,8 @@ struct GrammarReport {
   int NativePredictors = 0;
   int Decisions = 0;
   int64_t Tokens = 0;
-  Split Lex, Parse;
+  double LexSecs = 0, LexTps = 0;
+  Split Parse;
 };
 
 } // namespace
@@ -222,13 +216,13 @@ int main(int Argc, char **Argv) {
   std::vector<GrammarReport> Reports;
   std::printf("compiled fast path vs interpreter: %d units, best of %d\n\n",
               Units, Repeat);
-  std::printf("%-8s %-7s %-8s %12s %12s %8s %12s %12s %8s\n", "grammar",
-              "module", "native", "lex-int t/s", "lex-cmp t/s", "lex-x",
-              "par-int t/s", "par-cmp t/s", "par-x");
+  std::printf("%-8s %-7s %-8s %12s %12s %12s %8s\n", "grammar", "module",
+              "native", "lexer t/s", "par-int t/s", "par-cmp t/s", "par-x");
 
   for (const Workload &W : Workloads) {
-    std::string Text = readFile(std::string(LLSTAR_SOURCE_DIR) +
-                                "/grammars/" + W.File + ".g");
+    std::string Text;
+    readFile(std::string(LLSTAR_SOURCE_DIR) + "/grammars/" + W.File + ".g",
+             Text);
     DiagnosticEngine GDiags;
     auto AG = analyzeGrammarText(Text, GDiags);
     if (!AG) {
@@ -250,10 +244,7 @@ int main(int Argc, char **Argv) {
 
     std::string Input = W.Generate(Units);
     DiagnosticEngine LexDiags;
-    Lexer SpecLex(AG->grammar().lexerSpec(), LexDiags);
-    auto ModuleLex = Res.fromModule() ? compiled::makeModuleLexer(*Res.Module)
-                                      : nullptr;
-    std::vector<Token> Tokens = SpecLex.tokenize(Input, LexDiags);
+    std::vector<Token> Tokens = AG->lexer().tokenize(Input, LexDiags);
     if (LexDiags.hasErrors()) {
       std::fprintf(stderr, "%s workload does not lex:\n%s", W.File,
                    LexDiags.str().c_str());
@@ -261,18 +252,11 @@ int main(int Argc, char **Argv) {
     }
     R.Tokens = int64_t(Tokens.size()) - 1; // exclude EOF
 
-    // Lexer split. Without a module (stale hash) the compiled side runs
-    // the same spec lexer; the speedup column then honestly reads ~1x.
-    R.Lex.InterpSecs = bestOf(Repeat, [&] {
+    R.LexSecs = bestOf(Repeat, [&] {
       DiagnosticEngine D;
-      SpecLex.tokenize(Input, D);
+      AG->lexer().tokenize(Input, D);
     });
-    const Lexer &CompiledLex = ModuleLex ? *ModuleLex : SpecLex;
-    R.Lex.CompiledSecs = bestOf(Repeat, [&] {
-      DiagnosticEngine D;
-      CompiledLex.tokenize(Input, D);
-    });
-    R.Lex.finish(R.Tokens);
+    R.LexTps = double(R.Tokens) / R.LexSecs;
 
     // Full-parse split: trees and stats off so the measurement isolates
     // prediction + matching, the layer the compiled tables replace.
@@ -309,10 +293,10 @@ int main(int Argc, char **Argv) {
     char Native[16];
     std::snprintf(Native, sizeof(Native), "%d/%d", R.NativePredictors,
                   R.Decisions);
-    std::printf("%-8s %-7s %-8s %12.0f %12.0f %7.2fx %12.0f %12.0f %7.2fx\n",
+    std::printf("%-8s %-7s %-8s %12.0f %12.0f %12.0f %7.2fx\n",
                 R.Name.c_str(), R.FromModule ? "yes" : "STALE", Native,
-                R.Lex.InterpTps, R.Lex.CompiledTps, R.Lex.Speedup,
-                R.Parse.InterpTps, R.Parse.CompiledTps, R.Parse.Speedup);
+                R.LexTps, R.Parse.InterpTps, R.Parse.CompiledTps,
+                R.Parse.Speedup);
     Reports.push_back(std::move(R));
   }
 
@@ -322,15 +306,6 @@ int main(int Argc, char **Argv) {
                       ",\n  \"repeat\": " + std::to_string(Repeat) +
                       ",\n  \"grammars\": [\n";
     char Buf[512];
-    auto SplitJson = [&](const char *Key, const Split &S) {
-      std::snprintf(Buf, sizeof(Buf),
-                    "     \"%s\": {\"interpSecs\": %.6f, "
-                    "\"compiledSecs\": %.6f, \"interpTokensPerSec\": %.0f, "
-                    "\"compiledTokensPerSec\": %.0f, \"speedup\": %.2f}",
-                    Key, S.InterpSecs, S.CompiledSecs, S.InterpTps,
-                    S.CompiledTps, S.Speedup);
-      Out += Buf;
-    };
     for (size_t G = 0; G < Reports.size(); ++G) {
       const GrammarReport &R = Reports[G];
       std::snprintf(Buf, sizeof(Buf),
@@ -340,9 +315,19 @@ int main(int Argc, char **Argv) {
                     R.Name.c_str(), R.FromModule ? "true" : "false",
                     R.NativePredictors, R.Decisions, (long long)R.Tokens);
       Out += Buf;
-      SplitJson("lexer", R.Lex);
-      Out += ",\n";
-      SplitJson("parse", R.Parse);
+      std::snprintf(Buf, sizeof(Buf),
+                    "     \"lexer\": {\"secs\": %.6f, "
+                    "\"tokensPerSec\": %.0f},\n",
+                    R.LexSecs, R.LexTps);
+      Out += Buf;
+      const Split &S = R.Parse;
+      std::snprintf(Buf, sizeof(Buf),
+                    "     \"parse\": {\"interpSecs\": %.6f, "
+                    "\"compiledSecs\": %.6f, \"interpTokensPerSec\": %.0f, "
+                    "\"compiledTokensPerSec\": %.0f, \"speedup\": %.2f}",
+                    S.InterpSecs, S.CompiledSecs, S.InterpTps, S.CompiledTps,
+                    S.Speedup);
+      Out += Buf;
       Out += G + 1 < Reports.size() ? "},\n" : "}\n";
     }
     Out += "  ]\n}\n";

@@ -56,8 +56,7 @@ WS   : [ \t\r\n]+ -> skip ;
               Dfa.overflowed() ? "yes" : "no",
               Dfa.hasSynPredEdges() ? "yes" : "no");
 
-  DiagnosticEngine LexDiags;
-  Lexer L(AG->grammar().lexerSpec(), LexDiags);
+  const Lexer &L = AG->lexer();
 
   std::printf("%-24s %-6s %-12s %s\n", "input", "parsed", "backtracked?",
               "(paper: only inputs starting '--' speculate)");

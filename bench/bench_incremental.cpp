@@ -29,6 +29,7 @@
 
 #include "incremental/IncrementalSession.h"
 #include "service/GrammarBundleCache.h"
+#include "support/StringUtils.h"
 
 #include "BenchHarness.h"
 #include "CompiledManifest.h"
@@ -37,7 +38,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -88,13 +88,6 @@ const Workload Workloads[] = {
     {"json", jsonWorkload},
     {"lua", luaWorkload},
 };
-
-std::string readFile(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  std::ostringstream Out;
-  Out << In.rdbuf();
-  return Out.str();
-}
 
 /// Single-byte digit replacements spread across the input: edit K rotates
 /// the K-th sampled digit position to a different digit, so the text stays
@@ -204,11 +197,11 @@ int main(int Argc, char **Argv) {
 
   std::vector<WorkloadReport> Reports;
   for (const Workload &W : Workloads) {
+    std::string Text;
+    readFile(std::string(LLSTAR_SOURCE_DIR) + "/grammars/" + W.File + ".g",
+             Text);
     DiagnosticEngine Diags;
-    auto Bundle = makeGrammarBundle(
-        readFile(std::string(LLSTAR_SOURCE_DIR) + "/grammars/" + W.File +
-                 ".g"),
-        Diags);
+    auto Bundle = makeGrammarBundle(Text, Diags);
     if (!Bundle) {
       std::fprintf(stderr, "grammar %s failed to build:\n%s", W.File,
                    Diags.str().c_str());

@@ -90,9 +90,8 @@ int main() {
               LeftRec->grammar().rule(0).IsPrecedenceRule ? "yes" : "NO");
   std::printf("rewritten grammar:\n%s\n", LeftRec->grammar().str().c_str());
 
-  DiagnosticEngine LD1, LD2;
-  Lexer L1(LeftRec->grammar().lexerSpec(), LD1);
-  Lexer L2(Layered->grammar().lexerSpec(), LD2);
+  const Lexer &L1 = LeftRec->lexer();
+  const Lexer &L2 = Layered->lexer();
 
   // Semantic agreement: evaluate via both grammars' parse trees.
   std::printf("precedence checks ('1+2*3' must be 7, '2*3+4' must be 10, "

@@ -64,8 +64,7 @@ int main() {
     std::fprintf(stderr, "%s\n", Diags.str().c_str());
     return 1;
   }
-  DiagnosticEngine LexDiags;
-  Lexer L(AG->grammar().lexerSpec(), LexDiags);
+  const Lexer &L = AG->lexer();
 
   for (int Depth : {4, 8, 12, 16, 20}) {
     std::string Input = nestedInput(Depth);

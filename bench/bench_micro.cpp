@@ -53,7 +53,7 @@ void BM_LexJava(benchmark::State &State) {
   const std::string &Input = javaInput();
   for (auto _ : State) {
     DiagnosticEngine Diags;
-    auto Tokens = P.Lex->tokenize(Input, Diags);
+    auto Tokens = P.AG->lexer().tokenize(Input, Diags);
     benchmark::DoNotOptimize(Tokens);
   }
   State.SetBytesProcessed(int64_t(State.iterations()) *

@@ -43,14 +43,6 @@ PreparedGrammar PreparedGrammar::prepare(const BenchGrammar &Spec) {
     std::abort();
   }
 
-  DiagnosticEngine LexDiags;
-  P.Lex = std::make_unique<Lexer>(P.AG->grammar().lexerSpec(), LexDiags);
-  if (LexDiags.hasErrors()) {
-    std::fprintf(stderr, "grammar %s lexer failed:\n%s\n", Spec.Name,
-                 LexDiags.str().c_str());
-    std::abort();
-  }
-
   // The C grammar's single semantic predicate (paper Section 4.2): a
   // symbol-table lookup, simulated here by the workload's naming
   // convention — type names start with 'T' or are known typedefs.
@@ -65,7 +57,7 @@ PreparedGrammar PreparedGrammar::prepare(const BenchGrammar &Spec) {
 
 TokenStream PreparedGrammar::tokenize(const std::string &Input) {
   DiagnosticEngine Diags;
-  std::vector<Token> Tokens = Lex->tokenize(Input, Diags);
+  std::vector<Token> Tokens = AG->lexer().tokenize(Input, Diags);
   if (Diags.hasErrors()) {
     std::fprintf(stderr, "grammar %s: workload failed to lex:\n%s\n",
                  Spec->Name, Diags.str().c_str());

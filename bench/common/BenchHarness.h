@@ -18,7 +18,6 @@
 #include "BenchGrammars.h"
 
 #include "analysis/AnalyzedGrammar.h"
-#include "lexer/Lexer.h"
 #include "lexer/TokenStream.h"
 #include "runtime/LLStarParser.h"
 #include "runtime/SemanticEnv.h"
@@ -29,12 +28,11 @@
 namespace llstar {
 namespace bench {
 
-/// A fully prepared benchmark grammar: analysis result + compiled lexer +
-/// semantic bindings.
+/// A fully prepared benchmark grammar: analysis result (compiled lexer
+/// included) + semantic bindings.
 struct PreparedGrammar {
   const BenchGrammar *Spec = nullptr;
   std::unique_ptr<AnalyzedGrammar> AG;
-  std::unique_ptr<Lexer> Lex;
   SemanticEnv Env;
   /// Lines of grammar text (Table 1's "Lines" column).
   int64_t GrammarLines = 0;

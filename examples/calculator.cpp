@@ -91,8 +91,7 @@ int main(int Argc, char **Argv) {
   std::printf("rewritten expression rule:\n  %s\n",
               AG->grammar().str().c_str());
 
-  DiagnosticEngine LexDiags;
-  Lexer L(AG->grammar().lexerSpec(), LexDiags);
+  const Lexer &L = AG->lexer();
 
   std::vector<std::string> Inputs;
   for (int I = 1; I < Argc; ++I)

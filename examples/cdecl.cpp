@@ -15,7 +15,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/AnalyzedGrammar.h"
-#include "lexer/Lexer.h"
 #include "lexer/TokenStream.h"
 #include "runtime/LLStarParser.h"
 
@@ -96,8 +95,7 @@ int main() {
   std::printf("%s\n\n", AG->summary().c_str());
 
   DiagnosticEngine LexDiags;
-  Lexer L(AG->grammar().lexerSpec(), LexDiags);
-  TokenStream Stream(L.tokenize(SampleInput, LexDiags));
+  TokenStream Stream(AG->lexer().tokenize(SampleInput, LexDiags));
 
   // The symbol table the predicates consult. The {{defineType}} action is
   // a double-brace "always action": it must run even during speculation,

@@ -71,8 +71,7 @@ int main(int Argc, char **Argv) {
     return 1;
   }
   std::printf("%s\n", AG->summary().c_str());
-  DiagnosticEngine LexDiags;
-  Lexer L(AG->grammar().lexerSpec(), LexDiags);
+  const Lexer &L = AG->lexer();
 
   if (Argc > 1) {
     std::ifstream In(Argv[1]);

@@ -15,7 +15,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/AnalyzedGrammar.h"
-#include "lexer/Lexer.h"
 #include "lexer/TokenStream.h"
 #include "runtime/LLStarParser.h"
 
@@ -56,8 +55,7 @@ WS   : [ \t\r\n]+ -> skip ;
   for (const char *Input : {"unsigned unsigned int x", "T x", "x = 42",
                             "= oops"}) {
     DiagnosticEngine LexDiags;
-    Lexer L(AG->grammar().lexerSpec(), LexDiags);
-    TokenStream Stream(L.tokenize(Input, LexDiags));
+    TokenStream Stream(AG->lexer().tokenize(Input, LexDiags));
 
     DiagnosticEngine ParseDiags;
     LLStarParser Parser(*AG, Stream, /*Env=*/nullptr, ParseDiags);

@@ -40,15 +40,23 @@ AnalyzedGrammar::analyze(std::unique_ptr<Grammar> G, DiagnosticEngine &Diags) {
   AG->Stats.AnalysisSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
           .count();
+
+  // The one lexer compile per grammar (regex -> NFA -> DFA -> minimize);
+  // every tokenizer of this grammar is this object or its serialized tables.
+  // Analysis reports no errors, so any error now is the lexer's.
+  AG->Lex = std::make_unique<Lexer>(AG->G->lexerSpec(), Diags);
+  if (Diags.hasErrors())
+    return nullptr;
   return AG;
 }
 
 std::unique_ptr<AnalyzedGrammar>
 AnalyzedGrammar::fromParts(std::unique_ptr<Grammar> G, std::unique_ptr<Atn> M,
                            std::vector<std::unique_ptr<LookaheadDfa>> Dfas,
-                           std::unique_ptr<RecoverySets> Recovery) {
+                           Lexer Lex, std::unique_ptr<RecoverySets> Recovery) {
   auto AG = std::unique_ptr<AnalyzedGrammar>(new AnalyzedGrammar());
   AG->G = std::move(G);
+  AG->Lex = std::make_unique<Lexer>(std::move(Lex));
   AG->M = std::move(M);
   AG->Dfas = std::move(Dfas);
   AG->Reports.resize(AG->Dfas.size());

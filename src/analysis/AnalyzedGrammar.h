@@ -6,14 +6,15 @@
 ///
 /// \file
 /// Drives LL(*) analysis over every parsing decision of a grammar and
-/// packages the results: the ATN, one lookahead DFA per decision, and the
-/// static statistics reported in the paper's Tables 1 and 2 (decision
-/// classes and fixed-lookahead depths).
+/// packages the results: the ATN, one lookahead DFA per decision, the
+/// grammar's compiled lexer, and the static statistics reported in the
+/// paper's Tables 1 and 2 (decision classes and fixed-lookahead depths).
 ///
 /// This is the main entry point of the toolkit:
 /// \code
 ///   DiagnosticEngine Diags;
 ///   auto AG = llstar::analyzeGrammarText(GrammarSource, Diags);
+///   TokenStream Stream(AG->lexer().tokenize(Input, Diags));
 ///   LLStarParser P(*AG, Stream, &Env, Diags);
 ///   auto Tree = P.parse("startRule");
 /// \endcode
@@ -27,6 +28,7 @@
 #include "atn/ATN.h"
 #include "dfa/LookaheadDFA.h"
 #include "grammar/Grammar.h"
+#include "lexer/Lexer.h"
 #include "recover/RecoverySets.h"
 #include "runtime/ParserStats.h"
 #include "support/Diagnostics.h"
@@ -46,7 +48,8 @@ struct StaticStats {
   int32_t NumBacktrack = 0; ///< DFAs with syntactic-predicate edges
   /// Histogram: fixed lookahead depth k -> number of decisions.
   std::map<int32_t, int32_t> FixedKHistogram;
-  /// Wall-clock seconds spent in grammar analysis + DFA construction.
+  /// Wall-clock seconds spent in grammar analysis + DFA construction (the
+  /// lexer compile is not included).
   double AnalysisSeconds = 0;
   /// Total lookahead-DFA states across all decisions.
   int64_t TotalDfaStates = 0;
@@ -61,26 +64,33 @@ struct StaticStats {
   }
 };
 
-/// A grammar plus its ATN and per-decision lookahead DFAs.
+/// A grammar plus its ATN, per-decision lookahead DFAs and compiled lexer.
 class AnalyzedGrammar {
 public:
-  /// Runs the full pipeline on \p G: validation happened at parse time;
-  /// this builds the ATN and a DFA per decision. Returns null only if \p G
-  /// is null. Analysis warnings accumulate in \p Diags.
+  /// Runs the full pipeline on \p G: rewrites left recursion, validates,
+  /// builds the ATN and a DFA per decision, and compiles the lexer. Returns
+  /// null if \p G is null or on any error (validation or lexer, e.g. a
+  /// token rule that matches the empty string). Diagnostics accumulate in
+  /// \p Diags.
   static std::unique_ptr<AnalyzedGrammar>
   analyze(std::unique_ptr<Grammar> G, DiagnosticEngine &Diags);
 
   /// Assembles from already-built parts (the deserializer's entry point;
-  /// see codegen/Serializer.h). Recomputes the static statistics. \p
+  /// see codegen/Serializer.h). Recomputes the static statistics; \p Lex
+  /// is the lexer decoded from the payload tables, not recompiled. \p
   /// Recovery carries deserialized recovery tables; pass null to recompute
   /// them from the ATN.
   static std::unique_ptr<AnalyzedGrammar>
   fromParts(std::unique_ptr<Grammar> G, std::unique_ptr<Atn> M,
-            std::vector<std::unique_ptr<LookaheadDfa>> Dfas,
+            std::vector<std::unique_ptr<LookaheadDfa>> Dfas, Lexer Lex,
             std::unique_ptr<RecoverySets> Recovery = nullptr);
 
   const Grammar &grammar() const { return *G; }
   const Atn &atn() const { return *M; }
+
+  /// The grammar's tokenizer, compiled once. Safe to share across threads
+  /// (tokenize is const and keeps no state).
+  const Lexer &lexer() const { return *Lex; }
 
   size_t numDecisions() const { return Dfas.size(); }
   const LookaheadDfa &dfa(int32_t Decision) const {
@@ -119,6 +129,7 @@ private:
   std::vector<DecisionReport> Reports;
   StaticStats Stats;
   std::unique_ptr<RecoverySets> Recovery;
+  std::unique_ptr<Lexer> Lex;
 };
 
 /// Convenience: parse + analyze grammar text. Returns null on error.

@@ -5,7 +5,6 @@
 #include "compiled/CompiledRegistry.h"
 #include "compiled/CompiledTables.h"
 #include "dfa/LookaheadDFA.h"
-#include "lexer/Lexer.h"
 
 #include <algorithm>
 #include <cctype>
@@ -328,11 +327,6 @@ EmittedCompiledModule llstar::emitCompiledModule(const AnalyzedGrammar &AG) {
   const TablesView &V = T.view();
   uint64_t Hash = hashPayload(serializeGrammar(AG));
 
-  // The lexer tables, compiled the same way every loader compiles them.
-  DiagnosticEngine LexDiags;
-  Lexer Lex(AG.grammar().lexerSpec(), LexDiags);
-  const auto &LexStates = Lex.dfa().states();
-
   std::ostringstream OS;
   OS << "//===- " << Name
      << "_compiled.cpp - Compiled grammar module ------*- C++ -*-===//\n"
@@ -438,23 +432,6 @@ EmittedCompiledModule llstar::emitCompiledModule(const AnalyzedGrammar &AG) {
   OS << RuleOS.str();
   emitArray(OS, "NativeRuleFn", "kNativeRules", size_t(V.NumRules), 4,
             [&](std::ostream &O, size_t I) { O << "&Rule" << I; });
-  OS << "\n";
-
-  // --- Lexer tables -------------------------------------------------------
-  emitArray(OS, "int32_t", "kLexNext", LexStates.size() * 256, 16,
-            [&](std::ostream &O, size_t I) {
-              O << LexStates[I / 256].Next[I % 256];
-            });
-  emitArray(OS, "int32_t", "kLexAccept", LexStates.size(), 16,
-            [&](std::ostream &O, size_t I) {
-              O << LexStates[I].AcceptTag;
-            });
-  emitArray(OS, "uint8_t", "kLexActions", Lex.actions().size(), 16,
-            [&](std::ostream &O, size_t I) {
-              O << unsigned(static_cast<uint8_t>(Lex.actions()[I]));
-            });
-  emitArray(OS, "int32_t", "kLexTypes", Lex.types().size(), 16,
-            [&](std::ostream &O, size_t I) { O << Lex.types()[I]; });
 
   OS << "\n} // namespace\n\n";
 
@@ -476,12 +453,6 @@ EmittedCompiledModule llstar::emitCompiledModule(const AnalyzedGrammar &AG) {
      << "    },\n"
      << "    /*Native=*/kNative,\n"
      << "    /*Rules=*/kNativeRules,\n"
-     << "    /*LexNext=*/kLexNext,\n"
-     << "    /*LexAccept=*/kLexAccept,\n"
-     << "    /*NumLexStates=*/" << LexStates.size() << ",\n"
-     << "    /*LexActions=*/kLexActions,\n"
-     << "    /*LexTypes=*/kLexTypes,\n"
-     << "    /*NumLexTags=*/" << Lex.types().size() << ",\n"
      << "};\n\n"
      << "} // namespace compiled\n"
      << "} // namespace llstar\n";
@@ -490,7 +461,6 @@ EmittedCompiledModule llstar::emitCompiledModule(const AnalyzedGrammar &AG) {
   Out.TableBytes = size_t(V.NumStates) * sizeof(CState) +
                    T.numDfaTransEntries() * 4 + T.numDfaStatesTotal() * 12 +
                    T.numAltTargets() * 4 + T.numSetWords() * 8 +
-                   T.numPredEdges() * sizeof(CPredEdge) +
-                   LexStates.size() * 257 * 4;
+                   T.numPredEdges() * sizeof(CPredEdge);
   return Out;
 }

@@ -8,10 +8,11 @@
 /// Emits an analyzed grammar as a self-contained C++ translation unit: the
 /// flat dispatch tables of compiled/CompiledTables.h as static arrays, a
 /// generated switch-dispatch predictor function per predicate-free
-/// decision, the dense lexer byte-DFA, and one extern
+/// decision, a goto-threaded function per rule, and one extern
 /// \ref llstar::compiled::CompiledGrammarModule object stamped with the
 /// FNV-1a hash of the grammar's serialized analysis payload. The emitted
-/// file compiles against compiled/CompiledRegistry.h only.
+/// file compiles against compiled/CompiledRegistry.h only. It carries no
+/// lexer: loaders tokenize with \ref AnalyzedGrammar::lexer.
 ///
 /// This is the `llstar compile --emit-cpp` backend and the generator for
 /// the checked-in grammars/compiled/ registry; emission is deterministic

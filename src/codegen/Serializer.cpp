@@ -403,8 +403,7 @@ std::string llstar::serializeGrammar(const AnalyzedGrammar &AG) {
   }
 
   // Compiled lexer tables (sparse edge encoding).
-  DiagnosticEngine LexDiags;
-  Lexer L(G.lexerSpec(), LexDiags);
+  const Lexer &L = AG.lexer();
   W.word("lexer");
   W.num(int64_t(L.dfa().size()));
   W.nl();
@@ -455,7 +454,7 @@ std::string llstar::serializeGrammar(const AnalyzedGrammar &AG) {
 // Deserialization
 //===----------------------------------------------------------------------===//
 
-std::unique_ptr<CompiledGrammar>
+std::unique_ptr<AnalyzedGrammar>
 llstar::deserializeGrammar(std::string_view Text, DiagnosticEngine &Diags) {
   Reader R(Text, Diags);
   if (!R.word(Magic))
@@ -704,20 +703,11 @@ llstar::deserializeGrammar(std::string_view Text, DiagnosticEngine &Diags) {
                       Diags))
     return nullptr;
 
-  auto Result = std::make_unique<CompiledGrammar>();
-  Result->LexerDfa = regex::CharDfa::fromTables(std::move(LexStates));
-  Result->LexerActions = std::move(Actions);
-  Result->LexerTypes = std::move(Types);
-  Result->AG = AnalyzedGrammar::fromParts(
+  return AnalyzedGrammar::fromParts(
       std::move(G), std::move(M), std::move(Dfas),
+      Lexer(regex::CharDfa::fromTables(std::move(LexStates)),
+            std::move(Actions), std::move(Types)),
       RecoverySets::fromTables(std::move(Follow), std::move(ReachesEnd)));
-  return Result;
-}
-
-std::vector<Token> CompiledGrammar::tokenize(std::string_view Input,
-                                             DiagnosticEngine &Diags) const {
-  Lexer L(LexerDfa, LexerActions, LexerTypes);
-  return L.tokenize(Input, Diags);
 }
 
 //===----------------------------------------------------------------------===//
@@ -750,7 +740,7 @@ bool llstar::looksLikeBundle(std::string_view Bytes) {
   return Bytes.substr(0, std::strlen(BundleMagic)) == BundleMagic;
 }
 
-std::unique_ptr<CompiledGrammar> llstar::readBundle(std::string_view Bytes,
+std::unique_ptr<AnalyzedGrammar> llstar::readBundle(std::string_view Bytes,
                                                     DiagnosticEngine &Diags) {
   if (!looksLikeBundle(Bytes)) {
     Diags.error("not a grammar bundle (missing 'llstarbundle' header)");

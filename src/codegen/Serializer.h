@@ -11,9 +11,10 @@
 /// "serialized ATN" idea: grammar analysis runs once at generation time;
 /// deployed parsers just load tables.
 ///
-/// The deserialized \ref CompiledGrammar drives \ref LLStarParser exactly
-/// like a freshly analyzed grammar (the Grammar object carries names,
-/// vocabulary, and options, but no rule bodies — the ATN is the program).
+/// The deserialized \ref AnalyzedGrammar drives \ref LLStarParser and
+/// tokenizes exactly like a freshly analyzed grammar (the Grammar object
+/// carries names, vocabulary, and options, but no rule bodies or lexer
+/// spec — the ATN is the program and the lexer tables are the tokenizer).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,8 +22,6 @@
 #define LLSTAR_CODEGEN_SERIALIZER_H
 
 #include "analysis/AnalyzedGrammar.h"
-#include "lexer/Lexer.h"
-#include "regex/CharDFA.h"
 #include "support/Diagnostics.h"
 
 #include <memory>
@@ -31,33 +30,16 @@
 
 namespace llstar {
 
-/// A deserialized grammar package: everything needed to lex and parse.
-struct CompiledGrammar {
-  std::unique_ptr<AnalyzedGrammar> AG;
-  /// The pre-compiled tokenizer (no regex compilation at load time).
-  regex::CharDfa LexerDfa;
-  std::vector<LexerAction> LexerActions; // per DFA accept tag
-  std::vector<TokenType> LexerTypes;     // per DFA accept tag
-
-  /// Tokenizes with the precompiled tables; the tokens view \p Input.
-  std::vector<Token> tokenize(std::string_view Input,
-                              DiagnosticEngine &Diags) const;
-  std::vector<Token> tokenize(const char *Input,
-                              DiagnosticEngine &Diags) const {
-    return tokenize(std::string_view(Input), Diags);
-  }
-  std::vector<Token> tokenize(std::string &&, DiagnosticEngine &) const =
-      delete;
-};
-
-/// Serializes \p AG plus its compiled lexer \p L into the v1 text format.
+/// Serializes \p AG, its compiled lexer (\ref AnalyzedGrammar::lexer)
+/// included, into the v1 text format. Compiles nothing.
 std::string serializeGrammar(const AnalyzedGrammar &AG);
 
 /// Parses the v1 text format; returns null and reports to \p Diags on any
 /// structural error. All table indices (ATN targets, DFA edges, lexer
 /// transitions, rule/predicate/action references) are bounds-checked, so a
 /// corrupt payload is a diagnostic, never undefined behavior at parse time.
-std::unique_ptr<CompiledGrammar>
+/// The result's lexer is the decoded tables; no regex is compiled.
+std::unique_ptr<AnalyzedGrammar>
 deserializeGrammar(std::string_view Text, DiagnosticEngine &Diags);
 
 //===----------------------------------------------------------------------===//
@@ -95,7 +77,7 @@ bool looksLikeBundle(std::string_view Bytes);
 /// Verifies the container (magic, version, declared size, content hash)
 /// and deserializes the payload. Returns null with a diagnostic on any
 /// mismatch.
-std::unique_ptr<CompiledGrammar> readBundle(std::string_view Bytes,
+std::unique_ptr<AnalyzedGrammar> readBundle(std::string_view Bytes,
                                             DiagnosticEngine &Diags);
 
 } // namespace llstar

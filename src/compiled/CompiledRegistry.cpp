@@ -1,7 +1,6 @@
 #include "compiled/CompiledRegistry.h"
 
 #include "analysis/AnalyzedGrammar.h"
-#include "lexer/Lexer.h"
 
 #include <mutex>
 
@@ -78,25 +77,4 @@ llstar::compiled::resolveCompiledTables(const AnalyzedGrammar &AG,
   Res.View = Owned->view();
   Res.Owned = std::move(Owned);
   return Res;
-}
-
-std::unique_ptr<Lexer>
-llstar::compiled::makeModuleLexer(const CompiledGrammarModule &M) {
-  std::vector<regex::CharDfaState> States(size_t(M.NumLexStates));
-  for (int32_t S = 0; S < M.NumLexStates; ++S) {
-    regex::CharDfaState &St = States[size_t(S)];
-    const int32_t *Row = M.LexNext + size_t(S) * 256;
-    for (int32_t B = 0; B < 256; ++B)
-      St.Next[size_t(B)] = Row[B];
-    St.AcceptTag = M.LexAccept[S];
-  }
-  std::vector<LexerAction> Actions(size_t(M.NumLexTags));
-  std::vector<TokenType> Types(size_t(M.NumLexTags));
-  for (int32_t T = 0; T < M.NumLexTags; ++T) {
-    Actions[size_t(T)] = LexerAction(M.LexActions[T]);
-    Types[size_t(T)] = TokenType(M.LexTypes[T]);
-  }
-  return std::make_unique<Lexer>(
-      regex::CharDfa::fromTables(std::move(States)), std::move(Actions),
-      std::move(Types));
 }

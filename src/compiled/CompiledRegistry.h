@@ -9,9 +9,10 @@
 /// modules. `llstar compile --emit-cpp` turns a grammar into a
 /// self-contained C++ module holding the flat dispatch tables of
 /// compiled/CompiledTables.h as static data, generated switch predictors
-/// for its predicate-free decisions, and the dense lexer byte-DFA; the
+/// for its predicate-free decisions and goto-threaded rule bodies; the
 /// module registers itself here under the grammar's name plus the FNV-1a
-/// hash of its serialized analysis payload.
+/// hash of its serialized analysis payload. A module carries no lexer: the
+/// grammar's one compiled lexer is \ref AnalyzedGrammar::lexer.
 ///
 /// The hash is the gate: \ref resolveCompiledTables only serves a module
 /// when the payload hash of the grammar just loaded matches the hash the
@@ -37,7 +38,6 @@
 namespace llstar {
 
 class AnalyzedGrammar;
-class Lexer;
 
 namespace compiled {
 
@@ -59,15 +59,6 @@ struct CompiledGrammarModule {
   /// token label folded to a constant), or null to fall back to the table
   /// walk. Null when none were generated.
   const NativeRuleFn *Rules = nullptr;
-
-  /// Dense lexer byte-DFA: NumLexStates rows of 256 next-state entries
-  /// plus one accept tag per state, and per-tag actions/token types.
-  const int32_t *LexNext = nullptr;
-  const int32_t *LexAccept = nullptr;
-  int32_t NumLexStates = 0;
-  const uint8_t *LexActions = nullptr; ///< LexerAction per accept tag
-  const int32_t *LexTypes = nullptr;   ///< TokenType per accept tag
-  int32_t NumLexTags = 0;
 };
 
 /// FNV-1a over \p Bytes; the hash \ref CompiledGrammarModule::PayloadHash
@@ -106,10 +97,6 @@ struct CompiledResolution {
 /// always flatten.
 CompiledResolution resolveCompiledTables(const AnalyzedGrammar &AG,
                                          std::string_view SerializedPayload);
-
-/// Builds a \ref Lexer from \p M's dense lexer tables (same tables the
-/// grammar's LexerSpec compiles to; the payload-hash gate guarantees it).
-std::unique_ptr<Lexer> makeModuleLexer(const CompiledGrammarModule &M);
 
 } // namespace compiled
 } // namespace llstar

@@ -1,6 +1,5 @@
 #include "fuzz/DifferentialOracle.h"
 
-#include "lexer/Lexer.h"
 #include "lexer/TokenStream.h"
 #include "peg/PackratParser.h"
 #include "runtime/LLStarParser.h"
@@ -50,9 +49,9 @@ OracleVerdict DifferentialOracle::checkGrammar() {
   // Serializer round-trip: the compiled form must load back cleanly. The
   // loaded grammar also drives the per-sentence re-prediction check.
   DiagnosticEngine Diags;
-  CG = deserializeGrammar(First, Diags);
-  if (!CG || Diags.hasErrors()) {
-    CG = nullptr;
+  Reloaded = deserializeGrammar(First, Diags);
+  if (!Reloaded || Diags.hasErrors()) {
+    Reloaded = nullptr;
     return OracleVerdict::fail("serializer-reload",
                                "deserializeGrammar rejected its own output:\n" +
                                    Diags.str());
@@ -63,23 +62,15 @@ OracleVerdict DifferentialOracle::checkGrammar() {
 namespace {
 
 struct ParseOutcome {
-  bool LexOk = false;
   bool Ok = false;
   std::string Tree;
   std::string Diags;
 };
 
-ParseOutcome runLLStar(const AnalyzedGrammar &AG, const std::string &Input) {
+ParseOutcome runLLStar(const AnalyzedGrammar &AG,
+                       const std::vector<Token> &Tokens) {
   ParseOutcome R;
-  DiagnosticEngine LexDiags;
-  Lexer L(AG.grammar().lexerSpec(), LexDiags);
-  std::vector<Token> Tokens = L.tokenize(Input, LexDiags);
-  if (LexDiags.hasErrors()) {
-    R.Diags = LexDiags.str();
-    return R;
-  }
-  R.LexOk = true;
-  TokenStream Stream(std::move(Tokens));
+  TokenStream Stream{std::vector<Token>(Tokens)};
   DiagnosticEngine Diags;
   ParserOptions Opts;
   Opts.BuildTree = true;
@@ -94,17 +85,9 @@ ParseOutcome runLLStar(const AnalyzedGrammar &AG, const std::string &Input) {
   return R;
 }
 
-ParseOutcome runPackrat(const Grammar &G, const std::string &Input) {
+ParseOutcome runPackrat(const Grammar &G, const std::vector<Token> &Tokens) {
   ParseOutcome R;
-  DiagnosticEngine LexDiags;
-  Lexer L(G.lexerSpec(), LexDiags);
-  std::vector<Token> Tokens = L.tokenize(Input, LexDiags);
-  if (LexDiags.hasErrors()) {
-    R.Diags = LexDiags.str();
-    return R;
-  }
-  R.LexOk = true;
-  TokenStream Stream(std::move(Tokens));
+  TokenStream Stream{std::vector<Token>(Tokens)};
   DiagnosticEngine Diags;
   PackratParser::Options Opts;
   Opts.BuildTree = true;
@@ -120,17 +103,18 @@ ParseOutcome runPackrat(const Grammar &G, const std::string &Input) {
 } // namespace
 
 OracleVerdict DifferentialOracle::checkSentence(const std::string &Input) {
-  ParseOutcome LL = runLLStar(*AG, Input);
-  ParseOutcome Peg = runPackrat(AG->grammar(), Input);
-  LastAccepted = Peg.LexOk && Peg.Ok;
-
-  if (LL.LexOk != Peg.LexOk)
-    return OracleVerdict::fail("lex-mismatch",
-                               "lexers disagree on input <" + Input + ">");
-  if (!LL.LexOk)
-    // Both lexers reject: mutation produced unlexable text; not a parser
-    // disagreement. (Generator-envelope inputs are always lexable.)
+  // Both engines parse the tokens of the grammar's one lexer.
+  DiagnosticEngine LexDiags;
+  std::vector<Token> Tokens = AG->lexer().tokenize(Input, LexDiags);
+  LastAccepted = false;
+  if (LexDiags.hasErrors())
+    // Mutation produced unlexable text; not a parser disagreement.
+    // (Generator-envelope inputs are always lexable.)
     return OracleVerdict::ok();
+
+  ParseOutcome LL = runLLStar(*AG, Tokens);
+  ParseOutcome Peg = runPackrat(AG->grammar(), Tokens);
+  LastAccepted = Peg.Ok;
 
   if (LL.Ok != Peg.Ok)
     return OracleVerdict::fail(
@@ -148,49 +132,28 @@ OracleVerdict DifferentialOracle::checkSentence(const std::string &Input) {
 
   // Serializer re-prediction: the deserialized tables must behave like the
   // fresh analysis — same tokens, same verdict, same tree.
-  if (CG) {
-    DiagnosticEngine LexDiags;
-    std::vector<Token> Reloaded = CG->tokenize(Input, LexDiags);
-    if (LexDiags.hasErrors())
+  if (Reloaded) {
+    DiagnosticEngine ReDiags;
+    std::vector<Token> ReToks = Reloaded->lexer().tokenize(Input, ReDiags);
+    if (ReDiags.hasErrors())
       return OracleVerdict::fail("serializer-tokens",
                                  "compiled lexer rejects input <" + Input +
-                                     ">:\n" + LexDiags.str());
-    {
-      DiagnosticEngine FreshDiags;
-      Lexer L(AG->grammar().lexerSpec(), FreshDiags);
-      std::vector<Token> Fresh = L.tokenize(Input, FreshDiags);
-      if (Fresh.size() != Reloaded.size())
+                                     ">:\n" + ReDiags.str());
+    if (Tokens.size() != ReToks.size())
+      return OracleVerdict::fail(
+          "serializer-tokens",
+          "compiled lexer token count differs on input <" + Input + ">");
+    for (size_t I = 0; I < Tokens.size(); ++I)
+      if (Tokens[I].Type != ReToks[I].Type || Tokens[I].Text != ReToks[I].Text)
         return OracleVerdict::fail(
             "serializer-tokens",
-            "compiled lexer token count differs on input <" + Input + ">");
-      for (size_t I = 0; I < Fresh.size(); ++I)
-        if (Fresh[I].Type != Reloaded[I].Type ||
-            Fresh[I].Text != Reloaded[I].Text)
-          return OracleVerdict::fail(
-              "serializer-tokens",
-              "compiled lexer token " + std::to_string(I) +
-                  " differs on input <" + Input + ">: '" +
-                  std::string(Fresh[I].Text) + "' vs '" +
-                  std::string(Reloaded[I].Text) + "'");
-    }
+            "compiled lexer token " + std::to_string(I) + " differs on input <" +
+                Input + ">: '" + std::string(Tokens[I].Text) + "' vs '" +
+                std::string(ReToks[I].Text) + "'");
 
     // Parse through the reloaded tables. The deserialized Grammar carries
     // no LexerSpec — tokens must come from the precompiled lexer DFA.
-    ParseOutcome Re;
-    Re.LexOk = true;
-    {
-      TokenStream Stream{std::vector<Token>(Reloaded)};
-      DiagnosticEngine Diags;
-      ParserOptions Opts;
-      Opts.BuildTree = true;
-      Opts.CollectStats = false;
-      Opts.Recover = false;
-      LLStarParser P(*CG->AG, Stream, nullptr, Diags, Opts);
-      auto Tree = P.parse();
-      Re.Ok = P.ok();
-      if (Re.Ok && Tree)
-        Re.Tree = Tree->str(CG->AG->grammar());
-    }
+    ParseOutcome Re = runLLStar(*Reloaded, ReToks);
     if (Re.Ok != LL.Ok)
       return OracleVerdict::fail(
           "serializer-verdict",

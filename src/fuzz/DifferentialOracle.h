@@ -84,7 +84,8 @@ private:
   std::string Text;
   std::string GrammarErr;
   std::unique_ptr<AnalyzedGrammar> AG;
-  std::unique_ptr<CompiledGrammar> CG;
+  /// The grammar reloaded from its own serialized tables.
+  std::unique_ptr<AnalyzedGrammar> Reloaded;
   bool TreesCmp = true;
   bool LastAccepted = false;
 };

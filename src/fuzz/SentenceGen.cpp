@@ -1,7 +1,6 @@
 #include "fuzz/SentenceGen.h"
 
 #include "fuzz/SentenceSampler.h"
-#include "lexer/Lexer.h"
 #include "runtime/ParserCore.h"
 
 #include <deque>
@@ -294,8 +293,7 @@ SentenceGen::seeds(size_t MaxSeeds) const {
       // the intended type sequence, or the sentence is no witness at all
       // (e.g. an identifier guess colliding with a keyword literal).
       DiagnosticEngine Diags;
-      Lexer L(AG.grammar().lexerSpec(), Diags);
-      std::vector<Token> Lexed = L.tokenize(Rendered, Diags);
+      std::vector<Token> Lexed = AG.lexer().tokenize(Rendered, Diags);
       if (Diags.hasErrors() || Lexed.size() != Types.size() + 1)
         continue;
       bool TypesMatch = true;

@@ -11,7 +11,7 @@ using namespace llstar::incremental;
 IncrementalSession::IncrementalSession(
     std::shared_ptr<const GrammarBundle> Bundle, SessionOptions Opts)
     : Bundle(std::move(Bundle)), Opts(std::move(Opts)),
-      IncLex(this->Bundle->lexer()) {}
+      IncLex(this->Bundle->analyzed().lexer()) {}
 
 IncrementalSession::~IncrementalSession() = default;
 

@@ -20,7 +20,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "lexer/Lexer.h"
 #include "lint/Lint.h"
 
 #include <optional>
@@ -165,18 +164,15 @@ void llstar::lintDeadSymbols(const AnalyzedGrammar &AG, const LintOptions &,
   }
 
   // --- shadowed-token ----------------------------------------------------
-  // Compile the spec and let maximal munch + priority decide who wins each
-  // pure-literal text. Compilation errors (if any) were already reported
-  // when the grammar was analyzed; swallow them here.
-  DiagnosticEngine Scratch;
-  Lexer Compiled(G.lexerSpec(), Scratch);
+  // Let the grammar's lexer (maximal munch + priority) decide who wins each
+  // pure-literal text.
   for (const LexerRule &LR : G.lexerSpec().Rules) {
     auto Text = LR.Pattern ? literalTextOf(*LR.Pattern) : std::nullopt;
     if (!Text || Text->empty())
       continue;
     DiagnosticEngine TokDiags;
     std::vector<Token> Hidden;
-    std::vector<Token> Toks = Compiled.tokenize(*Text, TokDiags, &Hidden);
+    std::vector<Token> Toks = AG.lexer().tokenize(*Text, TokDiags, &Hidden);
     // The winning token for this exact text: the first emitted or hidden
     // token. A skip-rule win leaves only EOF in Toks.
     TokenType Winner = TokenInvalid;

@@ -9,7 +9,6 @@
 #include "fuzz/SentenceGen.h"
 #include "fuzz/SentenceSampler.h"
 #include "grammar/SourceRewriter.h"
-#include "lexer/Lexer.h"
 #include "lexer/TokenStream.h"
 #include "peg/PackratParser.h"
 #include "runtime/LLStarParser.h"
@@ -159,8 +158,7 @@ struct ParseOutcome {
 ParseOutcome runLL(const AnalyzedGrammar &AG, const std::string &Input) {
   ParseOutcome O;
   DiagnosticEngine LexDiags;
-  Lexer L(AG.grammar().lexerSpec(), LexDiags);
-  std::vector<Token> Toks = L.tokenize(Input, LexDiags);
+  std::vector<Token> Toks = AG.lexer().tokenize(Input, LexDiags);
   if (LexDiags.hasErrors())
     return O;
   O.LexOk = true;
@@ -177,8 +175,7 @@ ParseOutcome runLL(const AnalyzedGrammar &AG, const std::string &Input) {
 ParseOutcome runPeg(const AnalyzedGrammar &AG, const std::string &Input) {
   ParseOutcome O;
   DiagnosticEngine LexDiags;
-  Lexer L(AG.grammar().lexerSpec(), LexDiags);
-  std::vector<Token> Toks = L.tokenize(Input, LexDiags);
+  std::vector<Token> Toks = AG.lexer().tokenize(Input, LexDiags);
   if (LexDiags.hasErrors())
     return O;
   O.LexOk = true;

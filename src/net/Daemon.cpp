@@ -1,6 +1,7 @@
 #include "net/Daemon.h"
 
 #include "incremental/IncrementalSession.h"
+#include "support/StringUtils.h"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -177,27 +178,27 @@ DaemonCounters Daemon::counters() const {
 std::shared_ptr<const GrammarBundle>
 Daemon::loadBundleBytes(std::string_view Bytes, DiagnosticEngine &Diags,
                         bool *WasCached) {
+  // Two first loads of the same bytes racing each other may both report a
+  // miss; the cache still keeps one bundle.
+  bool Known = Cache.find(hashBytes(Bytes)) != nullptr;
   auto Bundle = Cache.get(Bytes, Diags);
   if (!Bundle)
     return nullptr;
-  std::lock_guard<std::mutex> Lock(BundlesMu);
-  bool Known = ByHash.count(Bundle->contentHash()) != 0;
   if (WasCached)
     *WasCached = Known;
   // Hot reload: changed content arrives under a new hash and becomes the
   // new default; requests already in flight keep the old bundle alive
   // through their shared_ptr.
-  ByHash[Bundle->contentHash()] = Bundle;
+  std::lock_guard<std::mutex> Lock(DefaultMu);
   Default = Bundle;
   return Bundle;
 }
 
 std::shared_ptr<const GrammarBundle> Daemon::findBundle(uint64_t Hash) {
-  std::lock_guard<std::mutex> Lock(BundlesMu);
-  if (Hash == 0)
-    return Default;
-  auto It = ByHash.find(Hash);
-  return It == ByHash.end() ? nullptr : It->second;
+  if (Hash != 0)
+    return Cache.find(Hash);
+  std::lock_guard<std::mutex> Lock(DefaultMu);
+  return Default;
 }
 
 //===----------------------------------------------------------------------===//

@@ -149,8 +149,8 @@ private:
   mutable std::mutex ConnsMu;
   std::vector<std::shared_ptr<Connection>> Conns;
 
-  mutable std::mutex BundlesMu;
-  std::unordered_map<uint64_t, std::shared_ptr<const GrammarBundle>> ByHash;
+  /// Bundles by hash live in \ref Cache; this is only the default.
+  std::mutex DefaultMu;
   std::shared_ptr<const GrammarBundle> Default; ///< most recently loaded
 
   mutable std::mutex CountersMu;

@@ -173,7 +173,7 @@ ParserCore::ColdMatch ParserCore::coldMismatch(TokenType Label,
   IntervalSet Expected = Set ? *Set : IntervalSet::of(Label);
   RepairContext Ctx{Stream.LA(1), Stream.LA(2), Expected, viableAfter(Follow),
                     InsertionsSinceConsume};
-  RepairAction Act = strategy().onMismatch(Ctx);
+  RepairAction Act = chooseRepair(Ctx);
   if (Act == RepairAction::DeleteToken) {
     // The next token matches: the current one is spurious.
     Diags.note(Stream.LT(1).Loc,

@@ -28,7 +28,7 @@
 
 #include "analysis/AnalyzedGrammar.h"
 #include "lexer/TokenStream.h"
-#include "recover/ErrorStrategy.h"
+#include "recover/RepairPolicy.h"
 #include "runtime/Arena.h"
 #include "runtime/ParseTree.h"
 #include "runtime/ParserStats.h"
@@ -56,15 +56,11 @@ struct ParserOptions {
   /// Collect per-decision statistics (Tables 3-4).
   bool CollectStats = true;
   /// Recover from syntax errors instead of failing fast: single-token
-  /// deletion and insertion at mismatched tokens (consulting \ref Strategy)
+  /// deletion and insertion at mismatched tokens (see \ref chooseRepair)
   /// and follow-set synchronization after unrecoverable failures. Recovered
   /// regions appear in the parse tree as error leaves (\ref ErrorNodeKind);
   /// \ref ParserCore::ok still reports false when any error was reported.
   bool Recover = true;
-  /// Repair policy consulted at mismatched tokens. Null uses the built-in
-  /// default (\ref ErrorStrategy base behavior). Not owned; must be safe
-  /// for concurrent use if the parser instances sharing it are.
-  ErrorStrategy *Strategy = nullptr;
   /// When non-null, the parse tree is carved from this arena instead of
   /// one the returned \ref ParseTree owns, and no token is copied. parse()
   /// then returns null; fetch the root with \ref ParserCore::arenaTree. The
@@ -327,9 +323,6 @@ protected:
   bool canRecover() const {
     return Opts.Recover && !speculating() && !DeadlineHit;
   }
-  ErrorStrategy &strategy() {
-    return Opts.Strategy ? *Opts.Strategy : DefaultStrategy;
-  }
 
   /// Terminals that can follow a single conjured token at \p State: the
   /// static follow set of \p State, chained through the dynamic invocation
@@ -367,8 +360,6 @@ protected:
   ParserOptions Opts;
   ParserStats Stats;
 
-  /// Built-in repair policy used when ParserOptions::Strategy is null.
-  ErrorStrategy DefaultStrategy;
   /// Follow states of the active rule invocations (innermost last); the
   /// dynamic counterpart of the paper's rule-invocation stack, consulted by
   /// \ref viableAfter and \ref recoverySet.

@@ -3,9 +3,6 @@
 #include "codegen/Serializer.h"
 #include "support/StringUtils.h"
 
-#include <fstream>
-#include <sstream>
-
 using namespace llstar;
 
 std::shared_ptr<const GrammarBundle>
@@ -13,30 +10,9 @@ llstar::makeGrammarBundle(std::string_view Bytes, DiagnosticEngine &Diags) {
   auto Bundle = std::shared_ptr<GrammarBundle>(new GrammarBundle());
   Bundle->Hash = hashBytes(Bytes);
 
-  if (looksLikeBundle(Bytes)) {
-    std::unique_ptr<CompiledGrammar> CG = readBundle(Bytes, Diags);
-    if (!CG)
-      return nullptr;
-    Bundle->Lex = std::make_unique<Lexer>(std::move(CG->LexerDfa),
-                                          std::move(CG->LexerActions),
-                                          std::move(CG->LexerTypes));
-    Bundle->AG = std::move(CG->AG);
-  } else {
-    Bundle->AG = analyzeGrammarText(Bytes, Diags);
-    if (!Bundle->AG)
-      return nullptr;
-    // Compile the lexer once here rather than per request; lexer-spec
-    // problems were already reported during grammar validation.
-    DiagnosticEngine LexDiags;
-    Bundle->Lex = std::make_unique<Lexer>(
-        Bundle->AG->grammar().lexerSpec(), LexDiags);
-    if (LexDiags.hasErrors()) {
-      for (const Diagnostic &D : LexDiags.diagnostics())
-        Diags.report(D.Severity, D.Loc, D.Message);
-      return nullptr;
-    }
-  }
-  return Bundle;
+  Bundle->AG = looksLikeBundle(Bytes) ? readBundle(Bytes, Diags)
+                                      : analyzeGrammarText(Bytes, Diags);
+  return Bundle->AG ? Bundle : nullptr;
 }
 
 const compiled::CompiledResolution &GrammarBundle::compiledTables() const {
@@ -77,15 +53,20 @@ GrammarBundleCache::get(std::string_view Bytes, DiagnosticEngine &Diags) {
 }
 
 std::shared_ptr<const GrammarBundle>
+GrammarBundleCache::find(uint64_t Hash) const {
+  std::lock_guard<std::mutex> Lock(Mu);
+  auto It = Map.find(Hash);
+  return It == Map.end() ? nullptr : It->second;
+}
+
+std::shared_ptr<const GrammarBundle>
 GrammarBundleCache::getFile(const std::string &Path, DiagnosticEngine &Diags) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
+  std::string Bytes;
+  if (!readFile(Path, Bytes)) {
     Diags.error("cannot read grammar file '" + Path + "'");
     return nullptr;
   }
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  return get(Buffer.str(), Diags);
+  return get(Bytes, Diags);
 }
 
 GrammarBundleCache::CacheStats GrammarBundleCache::stats() const {

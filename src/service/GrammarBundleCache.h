@@ -8,8 +8,8 @@
 /// The grammar side of the batch parsing service. LL(*) analysis output is
 /// immutable once constructed — exactly the artifact to build (or load)
 /// once and share across every concurrent parse. A \ref GrammarBundle
-/// packages an analyzed grammar with its compiled lexer behind `const`
-/// accessors; a \ref GrammarBundleCache hands out shared ownership of
+/// packages an analyzed grammar (its compiled lexer included) behind
+/// `const` accessors; a \ref GrammarBundleCache hands out shared ownership of
 /// bundles keyed by the content hash of their bytes, so N requests against
 /// the same grammar pay for one analysis (or one bundle load), not N.
 ///
@@ -31,7 +31,6 @@
 
 #include "analysis/AnalyzedGrammar.h"
 #include "compiled/CompiledRegistry.h"
-#include "lexer/Lexer.h"
 #include "support/Diagnostics.h"
 
 #include <cstdint>
@@ -44,32 +43,27 @@
 
 namespace llstar {
 
-/// An immutable, shareable grammar package: analysis tables plus a
-/// compiled tokenizer. Construct through GrammarBundleCache (or
+/// An immutable, shareable grammar package: the analysis (tables and the
+/// compiled tokenizer) plus its content hash. Construct through GrammarBundleCache (or
 /// \ref makeGrammarBundle for uncached one-offs).
 class GrammarBundle {
 public:
   const AnalyzedGrammar &analyzed() const { return *AG; }
   const Grammar &grammar() const { return AG->grammar(); }
 
-  /// Tokenizes \p Input with the bundle's compiled lexer. Safe to call
-  /// from many threads at once. The tokens view \p Input, which must
-  /// outlive them (see Lexer::tokenize).
+  /// Tokenizes \p Input with the grammar's lexer (AnalyzedGrammar::lexer).
+  /// Safe to call from many threads at once. The tokens view \p Input,
+  /// which must outlive them (see Lexer::tokenize).
   std::vector<Token> tokenize(std::string_view Input,
                               DiagnosticEngine &Diags) const {
-    return Lex->tokenize(Input, Diags);
+    return AG->lexer().tokenize(Input, Diags);
   }
   std::vector<Token> tokenize(const char *Input,
                               DiagnosticEngine &Diags) const {
-    return Lex->tokenize(Input, Diags);
+    return AG->lexer().tokenize(Input, Diags);
   }
   std::vector<Token> tokenize(std::string &&, DiagnosticEngine &) const =
       delete;
-
-  /// The bundle's compiled lexer. Incremental sessions re-lex damaged
-  /// windows with the same DFA tables full tokenization uses, so spliced
-  /// token streams are indistinguishable from \ref tokenize output.
-  const Lexer &lexer() const { return *Lex; }
 
   /// Content hash of the bytes this bundle was built from (the cache key).
   uint64_t contentHash() const { return Hash; }
@@ -88,7 +82,6 @@ private:
   GrammarBundle() = default;
 
   std::unique_ptr<AnalyzedGrammar> AG;
-  std::unique_ptr<Lexer> Lex;
   uint64_t Hash = 0;
   mutable std::once_flag CompiledOnce;
   mutable compiled::CompiledResolution Compiled;
@@ -116,6 +109,10 @@ public:
   /// bytes don't load; failures are not cached.
   std::shared_ptr<const GrammarBundle> get(std::string_view Bytes,
                                            DiagnosticEngine &Diags);
+
+  /// The cached bundle whose content hash (hashBytes of its bytes) is
+  /// \p Hash, or null. Counts neither a hit nor a miss.
+  std::shared_ptr<const GrammarBundle> find(uint64_t Hash) const;
 
   /// Convenience: reads \p Path and calls \ref get.
   std::shared_ptr<const GrammarBundle> getFile(const std::string &Path,

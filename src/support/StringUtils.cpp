@@ -2,6 +2,8 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 
 using namespace llstar;
 
@@ -39,6 +41,16 @@ std::string llstar::escapeString(std::string_view S) {
   for (char C : S)
     Result += escapeChar(C);
   return Result;
+}
+
+bool llstar::readFile(const std::string &Path, std::string &Out) {
+  std::ifstream In(Path, std::ios::binary);
+  if (!In)
+    return false;
+  std::ostringstream Buffer;
+  Buffer << In.rdbuf();
+  Out = Buffer.str();
+  return true;
 }
 
 std::string llstar::join(const std::vector<std::string> &Parts,

@@ -42,6 +42,10 @@ std::string escapeString(std::string_view S);
 /// Joins \p Parts with \p Sep.
 std::string join(const std::vector<std::string> &Parts, std::string_view Sep);
 
+/// Reads the whole file at \p Path, in binary mode, into \p Out. False
+/// (and \p Out untouched) when the file cannot be opened.
+bool readFile(const std::string &Path, std::string &Out);
+
 /// printf-style formatting into a std::string.
 std::string formatString(const char *Fmt, ...)
     __attribute__((format(printf, 1, 2)));

@@ -45,21 +45,21 @@ TEST(BundleTest, RoundTripParsesIdentically) {
   EXPECT_FALSE(looksLikeBundle(BundleGrammar));
 
   DiagnosticEngine Diags;
-  auto CG = readBundle(Bytes, Diags);
-  ASSERT_TRUE(CG) << Diags.str();
+  auto Loaded = readBundle(Bytes, Diags);
+  ASSERT_TRUE(Loaded) << Diags.str();
 
   for (const char *Input : {"a = 1 ;", "if a then b = ( c 2 ) ;", "x y"}) {
     DiagnosticEngine LexDiags;
-    TokenStream Stream(CG->tokenize(Input, LexDiags));
+    TokenStream Stream(Loaded->lexer().tokenize(Input, LexDiags));
     DiagnosticEngine D1, D2;
-    LLStarParser P1(*CG->AG, Stream, nullptr, D1);
+    LLStarParser P1(*Loaded, Stream, nullptr, D1);
     auto T1 = P1.parse("");
     TokenStream S2 = lexOrFail(*AG, Input);
     LLStarParser P2(*AG, S2, nullptr, D2);
     auto T2 = P2.parse("");
     EXPECT_EQ(P1.ok(), P2.ok()) << Input;
     if (P1.ok() && P2.ok()) {
-      EXPECT_EQ(T1->str(CG->AG->grammar()), T2->str(AG->grammar()));
+      EXPECT_EQ(T1->str(Loaded->grammar()), T2->str(AG->grammar()));
     }
   }
 }
@@ -169,8 +169,8 @@ TEST(BundleTest, RejectsSeededByteFlips) {
     // Whatever the flip hit — header digits, the hash, table numbers — the
     // reader must return null or a (rare) valid grammar, never crash.
     DiagnosticEngine Diags;
-    auto CG = readBundle(Mangled, Diags);
-    if (!CG) {
+    auto Loaded = readBundle(Mangled, Diags);
+    if (!Loaded) {
       EXPECT_TRUE(Diags.hasErrors()) << "trial " << Trial;
     }
   }
@@ -201,13 +201,13 @@ TEST(BundleTest, RejectsMangledPayloadTables) {
       }
     }
     DiagnosticEngine Diags;
-    auto CG = deserializeGrammar(Mangled, Diags);
-    if (CG) {
+    auto Loaded = deserializeGrammar(Mangled, Diags);
+    if (Loaded) {
       // Survivors must be structurally usable, not just non-null.
       DiagnosticEngine LexDiags;
-      TokenStream Stream(CG->tokenize("a = 1 ;", LexDiags));
+      TokenStream Stream(Loaded->lexer().tokenize("a = 1 ;", LexDiags));
       DiagnosticEngine ParseDiags;
-      LLStarParser P(*CG->AG, Stream, nullptr, ParseDiags);
+      LLStarParser P(*Loaded, Stream, nullptr, ParseDiags);
       P.parse("");
     }
   }

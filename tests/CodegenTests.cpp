@@ -25,8 +25,8 @@ void expectRoundTripParse(const AnalyzedGrammar &AG, const std::string &Text,
                           const std::string &StartRule) {
   std::string Blob = serializeGrammar(AG);
   DiagnosticEngine Diags;
-  auto CG = deserializeGrammar(Blob, Diags);
-  ASSERT_TRUE(CG) << Diags.str() << "\nblob:\n" << Blob.substr(0, 400);
+  auto Loaded = deserializeGrammar(Blob, Diags);
+  ASSERT_TRUE(Loaded) << Diags.str() << "\nblob:\n" << Blob.substr(0, 400);
 
   // Original.
   TokenStream S1 = lexOrFail(AG, Input);
@@ -36,16 +36,16 @@ void expectRoundTripParse(const AnalyzedGrammar &AG, const std::string &Text,
 
   // Round-tripped (uses the deserialized lexer tables too).
   DiagnosticEngine LexDiags;
-  TokenStream S2(CG->tokenize(Input, LexDiags));
+  TokenStream S2(Loaded->lexer().tokenize(Input, LexDiags));
   ASSERT_FALSE(LexDiags.hasErrors()) << LexDiags.str();
   DiagnosticEngine D2;
-  LLStarParser P2(*CG->AG, S2, nullptr, D2);
+  LLStarParser P2(*Loaded, S2, nullptr, D2);
   auto T2 = P2.parse(StartRule);
 
   EXPECT_EQ(P1.ok(), P2.ok()) << "input: " << Input << "\n"
                               << D1.str() << D2.str();
   if (P1.ok() && P2.ok()) {
-    EXPECT_EQ(T1->str(AG.grammar()), T2->str(CG->AG->grammar()));
+    EXPECT_EQ(T1->str(AG.grammar()), T2->str(Loaded->grammar()));
   }
   (void)Text;
 }
@@ -79,25 +79,25 @@ WS   : [ \t\r\n]+ -> skip ;
   ASSERT_TRUE(AG);
   std::string Blob = serializeGrammar(*AG);
   DiagnosticEngine Diags;
-  auto CG = deserializeGrammar(Blob, Diags);
-  ASSERT_TRUE(CG) << Diags.str();
+  auto Loaded = deserializeGrammar(Blob, Diags);
+  ASSERT_TRUE(Loaded) << Diags.str();
 
   // Options.
-  EXPECT_TRUE(CG->AG->grammar().Options.Backtrack);
-  EXPECT_EQ(CG->AG->grammar().Options.MaxRecursionDepth, 2);
+  EXPECT_TRUE(Loaded->grammar().Options.Backtrack);
+  EXPECT_EQ(Loaded->grammar().Options.MaxRecursionDepth, 2);
   // Decision classification survives.
-  ASSERT_EQ(CG->AG->numDecisions(), AG->numDecisions());
+  ASSERT_EQ(Loaded->numDecisions(), AG->numDecisions());
   for (size_t D = 0; D < AG->numDecisions(); ++D) {
-    EXPECT_EQ(CG->AG->dfa(int32_t(D)).decisionClass(),
+    EXPECT_EQ(Loaded->dfa(int32_t(D)).decisionClass(),
               AG->dfa(int32_t(D)).decisionClass())
         << "decision " << D;
-    EXPECT_EQ(CG->AG->dfa(int32_t(D)).str(CG->AG->atn()),
+    EXPECT_EQ(Loaded->dfa(int32_t(D)).str(Loaded->atn()),
               AG->dfa(int32_t(D)).str(AG->atn()))
         << "decision " << D;
   }
   // Static stats recomputed identically.
-  EXPECT_EQ(CG->AG->stats().NumBacktrack, AG->stats().NumBacktrack);
-  EXPECT_EQ(CG->AG->stats().NumFixed, AG->stats().NumFixed);
+  EXPECT_EQ(Loaded->stats().NumBacktrack, AG->stats().NumBacktrack);
+  EXPECT_EQ(Loaded->stats().NumFixed, AG->stats().NumFixed);
 }
 
 TEST(Codegen, RoundTripBacktrackingParse) {
@@ -182,16 +182,16 @@ WS : [ \t\r\n]+ -> skip ;
   ASSERT_TRUE(AG);
   std::string Blob = serializeGrammar(*AG);
   DiagnosticEngine Diags;
-  auto CG = deserializeGrammar(Blob, Diags);
-  ASSERT_TRUE(CG) << Diags.str();
+  auto Loaded = deserializeGrammar(Blob, Diags);
+  ASSERT_TRUE(Loaded) << Diags.str();
 
   for (bool IsType : {true, false}) {
     SemanticEnv Env;
     Env.definePredicate("isType", [&] { return IsType; });
     DiagnosticEngine LexDiags;
-    TokenStream Stream(CG->tokenize("T x ;", LexDiags));
+    TokenStream Stream(Loaded->lexer().tokenize("T x ;", LexDiags));
     DiagnosticEngine PD;
-    LLStarParser P(*CG->AG, Stream, &Env, PD);
+    LLStarParser P(*Loaded, Stream, &Env, PD);
     P.parse("stat");
     EXPECT_TRUE(P.ok()) << PD.str();
     EXPECT_TRUE(PD.empty()) << PD.str(); // predicate found, no warnings

@@ -73,8 +73,7 @@ uint64_t fileSeed(const std::filesystem::path &Path) {
 
 std::vector<Token> lex(const AnalyzedGrammar &AG, const std::string &Input) {
   DiagnosticEngine Diags;
-  Lexer L(AG.grammar().lexerSpec(), Diags);
-  return L.tokenize(Input, Diags);
+  return AG.lexer().tokenize(Input, Diags);
 }
 std::vector<Token> lex(const AnalyzedGrammar &, std::string &&) = delete;
 
@@ -133,17 +132,10 @@ Capture runCompiled(const AnalyzedGrammar &AG,
                     const compiled::TablesView &View,
                     const compiled::NativePredictFn *Native,
                     const std::string &Input, bool Recover,
-                    const Lexer *LexOverride = nullptr,
                     const compiled::NativeRuleFn *Rules = nullptr) {
-  auto Tokenize = [&] {
-    if (!LexOverride)
-      return lex(AG, Input);
-    DiagnosticEngine Diags;
-    return LexOverride->tokenize(Input, Diags);
-  };
   Capture C;
   {
-    TokenStream Stream(Tokenize());
+    TokenStream Stream(lex(AG, Input));
     DiagnosticEngine Diags;
     compiled::CompiledParser P(AG, View, Stream, nullptr, Diags,
                                baseOptions(AG, Recover), Native, Rules);
@@ -159,7 +151,7 @@ Capture runCompiled(const AnalyzedGrammar &AG,
     }
   }
   {
-    TokenStream Stream(Tokenize());
+    TokenStream Stream(lex(AG, Input));
     DiagnosticEngine Diags;
     Arena TreeArena;
     ParserOptions Opts = baseOptions(AG, Recover);
@@ -307,10 +299,8 @@ TEST(CompiledConformance, ShippedModulesHashMatchAndAgree) {
     EXPECT_NE(Res.Native, nullptr);
     EXPECT_NE(Res.Rules, nullptr);
 
-    // The module lexer must tokenize exactly like the spec-compiled one,
-    // over decision-covering minimal sentences (guaranteed valid, so the
+    // Decision-covering minimal sentences (guaranteed valid, so the
     // generated predictors all run hot).
-    auto ModuleLex = compiled::makeModuleLexer(*Res.Module);
     fuzz::SentenceGen Gen(*AG);
     std::vector<std::string> Inputs;
     for (const auto &Seed : Gen.seeds())
@@ -319,23 +309,12 @@ TEST(CompiledConformance, ShippedModulesHashMatchAndAgree) {
     if (Inputs.size() > 6)
       Inputs.resize(6);
     for (const std::string &Input : Inputs) {
-      DiagnosticEngine D1;
-      std::vector<Token> A = ModuleLex->tokenize(Input, D1);
-      std::vector<Token> B = lex(*AG, Input);
-      ASSERT_EQ(A.size(), B.size()) << Input;
-      for (size_t I = 0; I < A.size(); ++I) {
-        EXPECT_EQ(A[I].Type, B[I].Type);
-        EXPECT_EQ(A[I].Text, B[I].Text);
-        EXPECT_EQ(A[I].Loc.Line, B[I].Loc.Line);
-        EXPECT_EQ(A[I].Loc.Column, B[I].Loc.Column);
-      }
-
-      // And module tables + native predictors + generated rule bodies must
+      // Module tables + native predictors + generated rule bodies must
       // match the interpreter.
       for (bool Recover : {false, true}) {
         Capture Int = runInterpreted(*AG, Input, Recover);
         Capture Cmp = runCompiled(*AG, Res.View, Res.Native, Input, Recover,
-                                  ModuleLex.get(), Res.Rules);
+                                  Res.Rules);
         expectIdentical(Int, Cmp,
                         std::string(C.Grammar) + " <" + Input + ">");
       }
@@ -344,7 +323,7 @@ TEST(CompiledConformance, ShippedModulesHashMatchAndAgree) {
     // tables (predicated decisions exercise the fallback walk).
     Capture Int = runInterpreted(*AG, C.Input, /*Recover=*/true);
     Capture Cmp = runCompiled(*AG, Res.View, Res.Native, C.Input,
-                              /*Recover=*/true, ModuleLex.get(), Res.Rules);
+                              /*Recover=*/true, Res.Rules);
     expectIdentical(Int, Cmp, std::string(C.Grammar) + " golden");
   }
 }

@@ -167,10 +167,8 @@ ID : [a-z]+ ;
 WS : [ \n]+ -> skip ;
 )");
   ASSERT_TRUE(AG);
-  DiagnosticEngine Diags;
-  Lexer L(AG->grammar().lexerSpec(), Diags);
   DiagnosticEngine LexDiags;
-  L.tokenize("abc\n  @def", LexDiags);
+  AG->lexer().tokenize("abc\n  @def", LexDiags);
   ASSERT_TRUE(LexDiags.hasErrors());
   EXPECT_EQ(LexDiags.diagnostics().front().Loc, SourceLocation(2, 2));
 }

@@ -106,6 +106,22 @@ TEST(Lexer, EmptyMatchingRuleRejected) {
   EXPECT_TRUE(Diags.contains("empty string"));
 }
 
+// The grammar's lexer is compiled during analysis, so every entry point
+// that analyzes (analyze, lint, compile, parse, bundles) rejects a token
+// rule that can match the empty string.
+TEST(Lexer, AnalysisRejectsEmptyMatchingTokenRule) {
+  DiagnosticEngine Diags;
+  auto AG = analyzeGrammarText(R"(
+grammar T;
+s : BAD ;
+BAD : 'a'* ;
+)",
+                               Diags);
+  EXPECT_EQ(AG, nullptr);
+  EXPECT_TRUE(Diags.hasErrors());
+  EXPECT_TRUE(Diags.contains("can match the empty string")) << Diags.str();
+}
+
 TEST(TokenStream, LookaheadAndSeek) {
   // Token text is a view; the strings it views must outlive the stream.
   const std::string Texts[] = {"t0", "t1", "t2"};
@@ -229,9 +245,8 @@ TEST(Lexer, TokensViewTheInputAcrossTheShippedGrammars) {
       Append(Sampler.sample());
 
     DiagnosticEngine Diags;
-    Lexer L(AG->grammar().lexerSpec(), Diags);
     std::vector<Token> Hidden;
-    std::vector<Token> Toks = L.tokenize(Corpus, Diags, &Hidden);
+    std::vector<Token> Toks = AG->lexer().tokenize(Corpus, Diags, &Hidden);
     ASSERT_GT(Toks.size(), 1u);
     expectViewsInto(Corpus, Toks);
     expectViewsInto(Corpus, Hidden);

@@ -355,23 +355,23 @@ TEST(RecoveryBundle, RoundTripPreservesRecoveryTables) {
   ASSERT_TRUE(Payload.find("\nrecover ") != std::string::npos);
 
   DiagnosticEngine Diags;
-  auto CG = deserializeGrammar(Payload, Diags);
-  ASSERT_TRUE(CG) << Diags.str();
-  EXPECT_TRUE(CG->AG->recovery() == AG->recovery());
+  auto Loaded = deserializeGrammar(Payload, Diags);
+  ASSERT_TRUE(Loaded) << Diags.str();
+  EXPECT_TRUE(Loaded->recovery() == AG->recovery());
 
   // And the deserialized grammar recovers identically. Compiled grammars
   // tokenize through their precompiled lexer tables, not a lexer spec.
   RecoveredParse Orig = parseRecovering(*AG, "a = 1 ; b 2 ;", "prog");
   DiagnosticEngine LexDiags;
-  TokenStream Stream(CG->tokenize("a = 1 ; b 2 ;", LexDiags));
+  TokenStream Stream(Loaded->lexer().tokenize("a = 1 ; b 2 ;", LexDiags));
   ASSERT_FALSE(LexDiags.hasErrors()) << LexDiags.str();
   DiagnosticEngine ParseDiags;
   ParserOptions Opts;
   Opts.Recover = true;
-  LLStarParser P(*CG->AG, Stream, nullptr, ParseDiags, Opts);
+  LLStarParser P(*Loaded, Stream, nullptr, ParseDiags, Opts);
   auto Tree = P.parse("prog");
   ASSERT_TRUE(Tree);
-  EXPECT_EQ(Tree->str(CG->AG->grammar()), Orig.OwnedTree);
+  EXPECT_EQ(Tree->str(Loaded->grammar()), Orig.OwnedTree);
   EXPECT_EQ(ParseDiags.errorCount(), Orig.Errors);
 }
 

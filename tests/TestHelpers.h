@@ -45,8 +45,7 @@ analyzeWithDiags(const std::string &Text, DiagnosticEngine &Diags) {
 inline TokenStream lexOrFail(const AnalyzedGrammar &AG,
                              std::string_view Input) {
   DiagnosticEngine Diags;
-  Lexer L(AG.grammar().lexerSpec(), Diags);
-  std::vector<Token> Tokens = L.tokenize(Input, Diags);
+  std::vector<Token> Tokens = AG.lexer().tokenize(Input, Diags);
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
   return TokenStream(std::move(Tokens));
 }

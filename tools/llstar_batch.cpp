@@ -27,7 +27,6 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -71,16 +70,6 @@ int usage() {
       "  --no-reuse        edit-script mode: full reparse per edit (baseline)\n"
       "  --quiet           per-input lines off; summary only\n");
   return 3;
-}
-
-bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  Out = Buffer.str();
-  return true;
 }
 
 /// Expands one command-line input operand into concrete file paths.

@@ -24,7 +24,6 @@
 #include "fuzz/SentenceGen.h"
 #include "fuzz/SentenceSampler.h"
 #include "incremental/IncrementalSession.h"
-#include "lexer/Lexer.h"
 #include "lexer/TokenStream.h"
 #include "lint/Lint.h"
 #include "lint/SarifWriter.h"
@@ -185,8 +184,7 @@ std::string checkRecoverOnce(const AnalyzedGrammar &AG,
   // Lex once up front; a mutation cannot produce unlexable text (token
   // texts are drawn from the grammar), but stay defensive.
   DiagnosticEngine LexDiags;
-  Lexer L(AG.grammar().lexerSpec(), LexDiags);
-  std::vector<Token> Tokens = L.tokenize(Input, LexDiags);
+  std::vector<Token> Tokens = AG.lexer().tokenize(Input, LexDiags);
   if (LexDiags.hasErrors())
     return "";
 

@@ -68,16 +68,6 @@ int usage() {
   return 3;
 }
 
-bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  Out = Buffer.str();
-  return true;
-}
-
 struct Options {
   std::string GrammarPath;
   bool Spawn = false;

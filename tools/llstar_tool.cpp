@@ -39,7 +39,6 @@
 #include "compiled/CompiledParser.h"
 #include "compiled/CompiledRegistry.h"
 #include "CompiledManifest.h"
-#include "lexer/Lexer.h"
 #include "lexer/TokenStream.h"
 #include "lint/Fix.h"
 #include "lint/Lint.h"
@@ -53,7 +52,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -190,16 +188,6 @@ bool wantsHelp(const std::vector<std::string> &Args) {
   return false;
 }
 
-bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In)
-    return false;
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  Out = Buffer.str();
-  return true;
-}
-
 void printDiags(const DiagnosticEngine &Diags) {
   if (!Diags.empty())
     std::fprintf(stderr, "%s", Diags.str().c_str());
@@ -295,8 +283,7 @@ int cmdTokens(const std::vector<std::string> &Args) {
     return ExitErrors;
   }
   DiagnosticEngine Diags;
-  Lexer L(AG->grammar().lexerSpec(), Diags);
-  std::vector<Token> Tokens = L.tokenize(Input, Diags);
+  std::vector<Token> Tokens = AG->lexer().tokenize(Input, Diags);
   printDiags(Diags);
   for (const Token &T : Tokens)
     std::printf("%5lld %-16s %s  @%s\n", (long long)T.Index,
@@ -356,17 +343,7 @@ int cmdParse(const std::vector<std::string> &Args) {
   }
 
   DiagnosticEngine LexDiags;
-  std::vector<Token> Toks;
-  if (Compiled.fromModule()) {
-    // Hash-matched module: tokenize with its embedded lexer tables (same
-    // DFA the spec compiles to; exercises the generated data end to end).
-    Toks = compiled::makeModuleLexer(*Compiled.Module)
-               ->tokenize(Input, LexDiags);
-  } else {
-    Lexer L(AG->grammar().lexerSpec(), LexDiags);
-    Toks = L.tokenize(Input, LexDiags);
-  }
-  TokenStream Stream(std::move(Toks));
+  TokenStream Stream(AG->lexer().tokenize(Input, LexDiags));
   printDiags(LexDiags);
   if (LexDiags.hasErrors())
     return ExitErrors;

@@ -20,7 +20,6 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <sys/select.h>
 #include <unistd.h>
@@ -46,16 +45,6 @@ int usage() {
       "  --compiled        parse with the compiled fast path\n"
       "  --once-drained    exit once a client sends the Drain opcode\n");
   return 3;
-}
-
-bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  Out = Buffer.str();
-  return true;
 }
 
 // Signal handlers may only do async-signal-safe work: write a byte to a
