@@ -16,7 +16,8 @@
 // Edits are digit-for-digit replacements, so the text stays valid and
 // both sessions do identical semantic work; every edit is <= 16 bytes
 // (they are 1 byte). Per-edit wall time comes from EditOutcome::Millis
-// (relex + reparse only), best-of --repeat over the whole edit sequence.
+// (the whole applyEdit call), best-of --repeat over the whole edit
+// sequence.
 // The reuse counters in the report prove the incremental side actually
 // spliced (nodesReused) instead of winning by measurement error.
 //

@@ -44,7 +44,8 @@ AnalyzedGrammar::analyze(std::unique_ptr<Grammar> G, DiagnosticEngine &Diags) {
   // The one lexer compile per grammar (regex -> NFA -> DFA -> minimize);
   // every tokenizer of this grammar is this object or its serialized tables.
   // Analysis reports no errors, so any error now is the lexer's.
-  AG->Lex = std::make_unique<Lexer>(AG->G->lexerSpec(), Diags);
+  AG->Lex = std::make_unique<Lexer>(AG->G->lexerSpec(), AG->G->vocabulary(),
+                                    Diags);
   if (Diags.hasErrors())
     return nullptr;
   return AG;

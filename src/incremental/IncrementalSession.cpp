@@ -128,21 +128,23 @@ EditOutcome IncrementalSession::parseCurrent(
   const AnalyzedGrammar &AG = Bundle->analyzed();
   const ArenaParseTree *NewRoot = nullptr;
   ParserStats S;
-  bool ParseOk;
+  EditOutcome O;
+  auto Finish = [&](auto &P) {
+    P.parse(Opts.StartRule);
+    NewRoot = P.arenaTree();
+    O.ParseOk = P.ok();
+    O.TreeNodes = int64_t(P.treeNodes());
+    O.ErrorLeaves = int64_t(P.errorLeaves());
+    S = std::move(P.stats());
+  };
   if (Opts.UseCompiled) {
     const compiled::CompiledResolution &CT = Bundle->compiledTables();
     compiled::CompiledParser P(AG, CT.View, *NewStream, /*Env=*/nullptr, Diags,
                                PO, CT.Native, CT.Rules);
-    P.parse(Opts.StartRule);
-    NewRoot = P.arenaTree();
-    ParseOk = P.ok();
-    S = P.stats();
+    Finish(P);
   } else {
     LLStarParser P(AG, *NewStream, /*Env=*/nullptr, Diags, PO);
-    P.parse(Opts.StartRule);
-    NewRoot = P.arenaTree();
-    ParseOk = P.ok();
-    S = P.stats();
+    Finish(P);
   }
 
   // Commit: the new tree replaces the old, the old arena is recycled.
@@ -154,31 +156,23 @@ EditOutcome IncrementalSession::parseCurrent(
     Record.clear();
   (LiveIsA ? ArenaA : ArenaB).reset();
   LiveIsA = !LiveIsA;
-  LastOk = ParseOk;
+  LastOk = O.ParseOk;
 
   S.TokensRelexed = D.Relexed;
   S.DecisionsReparsed = S.totalEvents();
   Cumulative.merge(S);
   Delta.merge(S);
 
-  EditOutcome O;
-  // Millis covers relex + reparse — the subsystem's actual per-edit work.
-  // The node/error counts below are reporting conveniences that walk the
-  // whole tree; keeping them outside the measured window stops them from
-  // drowning the signal on large trees.
-  O.Millis = std::chrono::duration<double, std::milli>(
-                 std::chrono::steady_clock::now() - StartTime)
-                 .count();
-  O.ParseOk = ParseOk;
   O.NumTokens = int64_t(IncLex.tokens().size());
   O.NodesReused = S.NodesReused;
   O.TokensRelexed = S.TokensRelexed;
   O.DecisionsReparsed = S.DecisionsReparsed;
-  if (Root) {
-    O.TreeNodes = int64_t(Root->size());
-    O.ErrorLeaves = int64_t(Root->numErrorNodes());
-  }
   O.NumErrors = Diags.errorCount();
+  // The whole call, commit included: the engine counted the tree's nodes
+  // and error leaves as it built them, so nothing here walks the tree.
+  O.Millis = std::chrono::duration<double, std::milli>(
+                 std::chrono::steady_clock::now() - StartTime)
+                 .count();
   return O;
 }
 

@@ -63,7 +63,7 @@ struct SessionOptions {
 struct EditOutcome {
   EditScriptError Error = EditScriptError::None;
   bool ParseOk = false;
-  double Millis = 0;              ///< relex + reparse wall time
+  double Millis = 0;              ///< wall time of the whole call
   int64_t NumTokens = 0;          ///< parser-visible tokens incl. EOF
   int64_t NodesReused = 0;        ///< subtrees spliced instead of reparsed
   int64_t TokensRelexed = 0;      ///< lexemes the damage walk re-scanned

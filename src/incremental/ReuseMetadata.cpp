@@ -124,7 +124,8 @@ bool ReuseRecorder::tryReuse(int32_t Rule, int32_t Precedence,
   CarryEnd = MIdx;
   CarrySrcBegin = M.SubtreeBegin;
   CarryDstBegin = DstBase;
-  ArenaParseTree *Copy = copyArena(*M.ArenaNode, Shift);
+  size_t Copied = 0;
+  ArenaParseTree *Copy = copyArena(*M.ArenaNode, Shift, Copied);
   if (!Copy) {
     // The aborted walk may have appended carried entries bound to nodes
     // the discarded copy owns; drop them or they dangle.
@@ -133,6 +134,7 @@ bool ReuseRecorder::tryReuse(int32_t Rule, int32_t Precedence,
   }
   Out.Node = Copy;
   Out.NextIndex = M.Next + Shift;
+  Out.NumNodes = Copied;
 
   // The engine skips the child's body, so no exitRule will fold the
   // spliced subtree's window into the invoking rule; do it here, or a
@@ -144,7 +146,8 @@ bool ReuseRecorder::tryReuse(int32_t Rule, int32_t Precedence,
 }
 
 ArenaParseTree *ReuseRecorder::copyArena(const ArenaParseTree &Old,
-                                         int64_t Shift) {
+                                         int64_t Shift, size_t &Copied) {
+  ++Copied;
   if (Old.isToken()) {
     // Clean nodes contain no error leaves (recovery poisons every
     // ancestor of one); refuse the splice rather than trust that.
@@ -158,7 +161,7 @@ ArenaParseTree *ReuseRecorder::copyArena(const ArenaParseTree &Old,
   ArenaParseTree *N = ArenaParseTree::ruleNode(*C.NewArena, Old.ruleIndex());
   for (const ArenaParseTree *Ch = Old.firstChild(); Ch;
        Ch = Ch->nextSibling()) {
-    ArenaParseTree *CC = copyArena(*Ch, Shift);
+    ArenaParseTree *CC = copyArena(*Ch, Shift, Copied);
     if (!CC)
       return nullptr;
     N->addChild(CC);

@@ -165,8 +165,10 @@ private:
   };
 
   /// Copies the recorded subtree into the new arena, leaf indices shifted
-  /// by \p Shift, and carries its metadata along. Null on refusal.
-  ArenaParseTree *copyArena(const ArenaParseTree &Old, int64_t Shift);
+  /// by \p Shift, and carries its metadata along; adds the nodes it
+  /// creates to \p Copied. Null on refusal.
+  ArenaParseTree *copyArena(const ArenaParseTree &Old, int64_t Shift,
+                            size_t &Copied);
 
   Config C;
   std::vector<Frame> Stack;

@@ -1,23 +1,25 @@
 #include "lexer/Lexer.h"
 
+#include "lexer/Vocabulary.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
 
 using namespace llstar;
 
-Lexer::Lexer(const LexerSpec &Spec, DiagnosticEngine &Diags) {
+Lexer::Lexer(const LexerSpec &Spec, const Vocabulary &Vocab,
+             DiagnosticEngine &Diags) {
   regex::Nfa N;
   for (size_t I = 0; I < Spec.Rules.size(); ++I) {
     const LexerRule &Rule = Spec.Rules[I];
+    const std::string &Name = Vocab.name(Rule.Type);
     if (!Rule.Pattern) {
-      Diags.error("lexer rule for token type " + std::to_string(Rule.Type) +
-                  " has no pattern");
+      Diags.error(Rule.Loc, "lexer rule " + Name + " has no pattern");
       continue;
     }
     if (Rule.Pattern->matchesEmpty())
-      Diags.error("lexer rule for token type " + std::to_string(Rule.Type) +
-                  " can match the empty string");
+      Diags.error(Rule.Loc,
+                  "lexer rule " + Name + " can match the empty string");
     N.addPattern(*Rule.Pattern, int32_t(I), Rule.Priority);
     Actions.push_back(Rule.Action);
     Types.push_back(Rule.Type);

@@ -26,12 +26,16 @@
 
 namespace llstar {
 
+class Vocabulary;
+
 /// A compiled tokenizer.
 class Lexer {
 public:
-  /// Compiles \p Spec; reports problems (e.g. a rule matching the empty
-  /// string) to \p Diags.
-  Lexer(const LexerSpec &Spec, DiagnosticEngine &Diags);
+  /// Compiles \p Spec, whose token types \p Vocab names; reports problems
+  /// (e.g. a rule matching the empty string) to \p Diags, by rule name and
+  /// at the rule's location.
+  Lexer(const LexerSpec &Spec, const Vocabulary &Vocab,
+        DiagnosticEngine &Diags);
 
   /// Constructs from precompiled tables (deserialized grammars; see
   /// codegen/Serializer.h).

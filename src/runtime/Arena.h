@@ -98,7 +98,9 @@ private:
       Bytes *= 2;
     // Geometric growth keeps the block count logarithmic in request size.
     BlockBytes = Bytes * 2;
-    Blocks.push_back({std::make_unique<char[]>(Bytes), Bytes});
+    // Default-initialized: create<T> constructs every object it places,
+    // so zero-filling would only touch pages no node may ever use.
+    Blocks.push_back({std::unique_ptr<char[]>(new char[Bytes]), Bytes});
     Cur = reinterpret_cast<uintptr_t>(Blocks.back().Data.get());
     End = Cur + Bytes;
   }

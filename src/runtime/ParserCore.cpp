@@ -39,6 +39,7 @@ int32_t ParserCore::beginParse(const std::string &RuleName,
   }
   Memo.clear();
   ArenaRoot = nullptr;
+  NumTreeNodes = NumErrorLeaves = 0;
   DeadlineHit = false;
   DeadlinePollCountdown = DeadlinePollInterval;
   FollowStack.clear();
@@ -47,13 +48,16 @@ int32_t ParserCore::beginParse(const std::string &RuleName,
 
   if (Opts.TreeArena) {
     NodeArena = Opts.TreeArena;
-    if (Opts.BuildTree)
+    if (Opts.BuildTree) {
       Root.Tree = ArenaRoot = ArenaParseTree::ruleNode(*NodeArena, Rule);
+      NumTreeNodes = 1;
+    }
   } else {
     // Without a tree there are no leaves, so there is no text to keep.
     Result = std::make_unique<ParseTree>(Rule,
                                          Opts.BuildTree ? &Stream : nullptr);
     NodeArena = &Result->arena();
+    NumTreeNodes = 1; // the constructor made the root
     if (Opts.BuildTree)
       Root.Tree = Result->root();
   }
@@ -65,31 +69,38 @@ int32_t ParserCore::beginParse(const std::string &RuleName,
 //===----------------------------------------------------------------------===//
 
 NodeRef ParserCore::addRuleChild(NodeRef Parent, int32_t RuleIndex) {
+  ++NumTreeNodes;
   return {Parent.Tree->addChild(
       ArenaParseTree::ruleNode(*NodeArena, RuleIndex))};
 }
 
 void ParserCore::addTokenChild(NodeRef Parent) {
+  ++NumTreeNodes;
   Parent.Tree->addChild(
       ArenaParseTree::tokenNode(*NodeArena, Stream.index()));
 }
 
+void ParserCore::addErrorLeaf(NodeRef Parent, ArenaParseTree *Leaf) {
+  Parent.Tree->addChild(Leaf);
+  ++NumTreeNodes;
+  ++NumErrorLeaves;
+}
+
 void ParserCore::addErrorTokenChild(NodeRef Parent) {
   if (Parent)
-    Parent.Tree->addChild(
-        ArenaParseTree::errorNode(*NodeArena, Stream.index()));
+    addErrorLeaf(Parent, ArenaParseTree::errorNode(*NodeArena, Stream.index()));
 }
 
 void ParserCore::addMissingTokenChild(NodeRef Parent, TokenType Missing) {
   if (Parent)
-    Parent.Tree->addChild(
-        ArenaParseTree::missingNode(*NodeArena, Missing, Stream.index()));
+    addErrorLeaf(Parent, ArenaParseTree::missingNode(*NodeArena, Missing,
+                                                     Stream.index()));
 }
 
 void ParserCore::addMarkerChild(NodeRef Parent) {
   if (Parent)
-    Parent.Tree->addChild(
-        ArenaParseTree::markerNode(*NodeArena, Stream.index()));
+    addErrorLeaf(Parent,
+                 ArenaParseTree::markerNode(*NodeArena, Stream.index()));
 }
 
 bool ParserCore::deadlinePoll() {

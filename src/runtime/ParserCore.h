@@ -37,6 +37,7 @@
 #include "support/Diagnostics.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -100,6 +101,12 @@ public:
   /// ParserOptions::TreeArena (null otherwise). Valid until that arena is
   /// reset.
   const ArenaParseTree *arenaTree() const { return ArenaRoot; }
+
+  /// Nodes and error leaves of the last parse's tree, counted as it was
+  /// built (spliced subtrees included), so reporting them costs no walk.
+  /// They equal the root's size() and numErrorNodes().
+  size_t treeNodes() const { return NumTreeNodes; }
+  size_t errorLeaves() const { return NumErrorLeaves; }
 
   /// True if the last parse() aborted because its deadline expired.
   bool deadlineExpired() const { return DeadlineHit; }
@@ -216,6 +223,8 @@ protected:
   void addErrorTokenChild(NodeRef Parent);
   void addMissingTokenChild(NodeRef Parent, TokenType Missing);
   void addMarkerChild(NodeRef Parent);
+  /// Appends error leaf \p Leaf to \p Parent (non-null) and counts it.
+  void addErrorLeaf(NodeRef Parent, ArenaParseTree *Leaf);
 
   /// The hot path after a successful Atom/Set lookahead test: records the
   /// tree child and stats, then consumes the token.
@@ -385,6 +394,10 @@ protected:
   /// returned ParseTree's own.
   Arena *NodeArena = nullptr;
   ArenaParseTree *ArenaRoot = nullptr;
+  /// Nodes and error leaves created or spliced by the current parse.
+  /// Speculation builds no nodes, so nothing needs rolling back.
+  size_t NumTreeNodes = 0;
+  size_t NumErrorLeaves = 0;
   /// ParserOptions::Deadline is max(): \ref deadlineOk never polls.
   bool NoDeadline = false;
   bool DeadlineHit = false;
@@ -418,6 +431,14 @@ std::unique_ptr<ParseTree> ParserCore::parseWith(Engine &E,
     Ok = true;
   }
   LastParseOk = Ok && Diags.errorCount() == ErrorsBefore;
+#ifndef NDEBUG
+  // Cross-check the counters against the walk they replace.
+  if (const ArenaParseTree *Built = Result ? Result->root() : ArenaRoot) {
+    assert(NumTreeNodes == Built->size() && "tree node count drifted");
+    assert(NumErrorLeaves == Built->numErrorNodes() &&
+           "error leaf count drifted");
+  }
+#endif
   return Result;
 }
 
@@ -449,6 +470,7 @@ bool ParserCore::runRule(Engine &E, int32_t RuleIndex, int32_t Precedence,
     ReuseHooks::Splice Sp;
     if (Opts.Hooks->tryReuse(RuleIndex, Precedence, Stream.index(), Sp)) {
       Parent.Tree->addChild(Sp.Node);
+      NumTreeNodes += Sp.NumNodes;
       Stream.seek(Sp.NextIndex);
       InsertionsSinceConsume = 0;
       ++Stats.NodesReused;

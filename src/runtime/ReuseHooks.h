@@ -33,6 +33,7 @@
 #ifndef LLSTAR_RUNTIME_REUSEHOOKS_H
 #define LLSTAR_RUNTIME_REUSEHOOKS_H
 
+#include <cstddef>
 #include <cstdint>
 
 namespace llstar {
@@ -47,11 +48,13 @@ public:
   virtual ~ReuseHooks() = default;
 
   /// A successful reuse probe: the subtree to attach, carved from the
-  /// arena the parse builds into, and the stream index just past its last
-  /// consumed token.
+  /// arena the parse builds into, the stream index just past its last
+  /// consumed token, and its node count (the engine adds it to the parse's
+  /// tree size; a spliced subtree holds no error leaves).
   struct Splice {
     ArenaParseTree *Node = nullptr;
     int64_t NextIndex = -1;
+    size_t NumNodes = 0;
   };
 
   /// Probes for a reusable subtree for (Rule, Precedence) starting at

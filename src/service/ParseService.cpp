@@ -316,7 +316,7 @@ ParseResult ParseService::runJob(Job &J, WorkerState &State) {
     R.ParseMillis = Millis;
     if (J.Req.WantTree && P.arenaTree()) {
       R.TreeText = P.arenaTree()->str(AG.grammar(), Stream);
-      R.TreeNodes = int64_t(P.arenaTree()->size());
+      R.TreeNodes = int64_t(P.treeNodes());
     }
     // The tree (and every node allocated for it) dies here, in O(1).
     State.TreeArena.reset();

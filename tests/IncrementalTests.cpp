@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace llstar;
 using namespace llstar::incremental;
 
@@ -377,6 +379,49 @@ TEST(IncrementalSessionTest, EditsInPanicRecoveredRegionsStayConsistent) {
               EditScriptError::None);
     EXPECT_TRUE(S.ok());
     expectMatchesScratch(S, SO, "repaired");
+  }
+}
+
+TEST(IncrementalSessionTest, OutcomeCountsMatchTheScratchWalk) {
+  // Every outcome's node and error-leaf counts must equal a walk of the
+  // from-scratch tree, whether nodes were built, spliced or recovered.
+  auto Bundle = bundleOrFail(ExprGrammar);
+  const std::string Initial = "(1 * 2) + (3 * 4) + (5 * 6) + (7 * 8)";
+  struct {
+    Edit E;
+    const char *Label;
+  } Steps[] = {
+      {{11, 1, "* *"}, "break inside a group"},
+      {{int64_t(Initial.size()) + 2, 0, " + )"}, "break at the end"},
+      {{11, 3, "3"}, "repair the group"},
+      {{int64_t(Initial.size()), 4, ""}, "repair the end"},
+      {{21, 1, "55"}, "clean edit"},
+  };
+  for (bool Compiled : {false, true}) {
+    SessionOptions SO;
+    SO.Recover = true;
+    SO.UseCompiled = Compiled;
+    IncrementalSession S(Bundle, SO);
+    int64_t MaxErrorLeaves = 0, Reused = 0;
+    auto Check = [&](const EditOutcome &O, const char *Label) {
+      ASSERT_EQ(O.Error, EditScriptError::None) << Label;
+      ScratchResult R = scratchParse(*Bundle, S.text(), SO);
+      SCOPED_TRACE(std::string(Label) + " [" + modeName(SO) + "] text <" +
+                   S.text() + ">");
+      EXPECT_EQ(S.treeText(), R.TreeText);
+      EXPECT_EQ(O.TreeNodes, R.TreeNodes);
+      EXPECT_EQ(O.ErrorLeaves, R.ErrorLeaves);
+      MaxErrorLeaves = std::max(MaxErrorLeaves, O.ErrorLeaves);
+      Reused += O.NodesReused;
+    };
+    Check(S.reset(Initial), "reset");
+    for (const auto &Step : Steps)
+      Check(S.applyEdit(Step.E), Step.Label);
+    EXPECT_EQ(S.text(), "(1 * 2) + (3 * 4) + (55 * 6) + (7 * 8)");
+    EXPECT_TRUE(S.ok());
+    // The script reached both the recovery and the splice paths.
+    EXPECT_GT(MaxErrorLeaves, 0);
+    EXPECT_GT(Reused, 0);
   }
 }
 

@@ -47,7 +47,7 @@ TEST(Lexer, BasicTokenization) {
   Vocabulary V;
   LexerSpec Spec = basicSpec(V);
   DiagnosticEngine Diags;
-  Lexer L(Spec, Diags);
+  Lexer L(Spec, V, Diags);
   ASSERT_FALSE(Diags.hasErrors()) << Diags.str();
 
   std::vector<Token> Tokens = L.tokenize("int foo 42", Diags);
@@ -65,7 +65,7 @@ TEST(Lexer, MaximalMunchBeatsKeyword) {
   Vocabulary V;
   LexerSpec Spec = basicSpec(V);
   DiagnosticEngine Diags;
-  Lexer L(Spec, Diags);
+  Lexer L(Spec, V, Diags);
   // "integer" is longer than "int": ID wins by maximal munch.
   std::vector<Token> Tokens = L.tokenize("integer", Diags);
   ASSERT_EQ(Tokens.size(), 2u);
@@ -77,7 +77,7 @@ TEST(Lexer, LineAndColumnTracking) {
   Vocabulary V;
   LexerSpec Spec = basicSpec(V);
   DiagnosticEngine Diags;
-  Lexer L(Spec, Diags);
+  Lexer L(Spec, V, Diags);
   std::vector<Token> Tokens = L.tokenize("foo\n  bar", Diags);
   ASSERT_EQ(Tokens.size(), 3u);
   EXPECT_EQ(Tokens[0].Loc, SourceLocation(1, 0));
@@ -88,7 +88,7 @@ TEST(Lexer, UnknownCharacterIsReportedAndSkipped) {
   Vocabulary V;
   LexerSpec Spec = basicSpec(V);
   DiagnosticEngine LexDiags;
-  Lexer L(Spec, LexDiags);
+  Lexer L(Spec, V, LexDiags);
   DiagnosticEngine Diags;
   std::vector<Token> Tokens = L.tokenize("foo $ bar", Diags);
   EXPECT_TRUE(Diags.hasErrors());
@@ -101,7 +101,7 @@ TEST(Lexer, EmptyMatchingRuleRejected) {
   LexerSpec Spec;
   Spec.addRule(V.getOrDefine("BAD"), re("a*"));
   DiagnosticEngine Diags;
-  Lexer L(Spec, Diags);
+  Lexer L(Spec, V, Diags);
   EXPECT_TRUE(Diags.hasErrors());
   EXPECT_TRUE(Diags.contains("empty string"));
 }
@@ -118,8 +118,12 @@ BAD : 'a'* ;
 )",
                                Diags);
   EXPECT_EQ(AG, nullptr);
-  EXPECT_TRUE(Diags.hasErrors());
-  EXPECT_TRUE(Diags.contains("can match the empty string")) << Diags.str();
+  ASSERT_EQ(Diags.diagnostics().size(), 1u) << Diags.str();
+  // The rejection names the token rule and points at its definition.
+  const Diagnostic &D = Diags.diagnostics().front();
+  EXPECT_EQ(D.Severity, DiagSeverity::Error);
+  EXPECT_EQ(D.Message, "lexer rule BAD can match the empty string");
+  EXPECT_EQ(D.Loc.Line, 4u);
 }
 
 TEST(TokenStream, LookaheadAndSeek) {
@@ -181,7 +185,7 @@ TEST(Lexer, HiddenChannelTokensPreserved) {
   Spec.addRule(V.getOrDefine("WS"),
                regex::parseRegex(" +", D), LexerAction::Skip, 2);
   DiagnosticEngine LexDiags;
-  Lexer L(Spec, LexDiags);
+  Lexer L(Spec, V, LexDiags);
   ASSERT_FALSE(LexDiags.hasErrors()) << LexDiags.str();
 
   std::vector<Token> Hidden;

@@ -534,6 +534,38 @@ TEST(ParseServiceTest, RecoveredRequestsReturnPartialTreesAndErrors) {
   EXPECT_NE(M.json().find("\"recovered\":1"), std::string::npos);
 }
 
+TEST(ParseServiceTest, TreeNodesMatchTheTreeWalk) {
+  // The engines count nodes as they build them; the count reported per
+  // request must equal a walk of a one-shot parse of the same input.
+  GrammarBundleCache Cache;
+  auto Bundle = bundleOrFail(Cache, ExprGrammar);
+  const AnalyzedGrammar &AG = Bundle->analyzed();
+  for (bool Compiled : {false, true}) {
+    ServiceConfig Config;
+    Config.Threads = 1;
+    Config.UseCompiled = Compiled;
+    ParseService Service(Config);
+    for (auto [Input, Status] :
+         {std::pair{"(1 + 2) * 3 + 4", ParseStatus::Ok},
+          std::pair{"1 + + (2 * ) 3", ParseStatus::Recovered}}) {
+      SCOPED_TRACE(std::string(Compiled ? "compiled" : "interp") + " <" +
+                   Input + ">");
+      ParseRequest Req = makeReq(Bundle, Input, Input);
+      Req.Recover = true;
+      ParseResult R = Service.submit(std::move(Req)).get();
+
+      TokenStream Stream = lexOrFail(AG, Input);
+      DiagnosticEngine Diags;
+      LLStarParser P(AG, Stream, /*Env=*/nullptr, Diags);
+      auto Tree = P.parse();
+      ASSERT_TRUE(Tree);
+      EXPECT_EQ(R.Status, Status);
+      EXPECT_EQ(R.TreeText, Tree->str(AG.grammar()));
+      EXPECT_EQ(R.TreeNodes, int64_t(Tree->size()));
+    }
+  }
+}
+
 TEST(ParseServiceTest, RepairCountersMergeAcrossWorkers) {
   GrammarBundleCache Cache;
   auto Bundle = bundleOrFail(Cache, ExprGrammar);
